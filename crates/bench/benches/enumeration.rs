@@ -1,6 +1,6 @@
 //! Enumeration-throughput benchmarks: the streaming, incrementally
 //! canonicalised engine against the seed generate-then-dedup path, and
-//! the work-stealing pool against the seed static shape-shard split.
+//! the work-stealing pool on the |E| = 4 space.
 //!
 //! The headline is the bound push: `x86-5-stream` enumerates the full
 //! |E| = 5 x86 hardware space (6,094,392 canonical classes) in seconds
@@ -17,9 +17,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use txmm_bench::table1_config;
 use txmm_models::Arch;
 use txmm_synth::enumerate::config_shapes;
-use txmm_synth::{
-    count, count_par, count_reference, enumerate_shape, par_map, stream_par, EnumConfig,
-};
+use txmm_synth::{count, count_par, count_reference, enumerate_shape, stream_par, EnumConfig};
 
 fn bench_streaming_vs_reference(c: &mut Criterion) {
     let mut g = c.benchmark_group("enumerate");
@@ -43,23 +41,11 @@ fn bench_streaming_vs_reference(c: &mut Criterion) {
     g.finish();
 }
 
-/// The seed parallel split: one shard per thread shape, whole shards
-/// handed to `par_map`'s worker pool.
-fn count_static_shards(cfg: &EnumConfig) -> usize {
-    par_map(config_shapes(cfg), |shape| {
-        let mut n = 0usize;
-        enumerate_shape(cfg, &shape, &mut |_| n += 1);
-        n
-    })
-    .into_iter()
-    .sum()
-}
-
-fn bench_work_stealing_vs_static(c: &mut Criterion) {
-    // Untimed context: the largest shape's share of the space bounds the
-    // static split's best case (its wall-clock can never drop below the
-    // biggest shard), while the stealing pool splits that shape into
-    // hundreds of subtree jobs.
+fn bench_work_stealing(c: &mut Criterion) {
+    // Untimed context: the largest shape's share of the space bounds any
+    // static per-shape split's best case (its wall-clock can never drop
+    // below the biggest shard), while the stealing pool splits that
+    // shape into hundreds of subtree jobs.
     let cfg = table1_config(Arch::X86, 4);
     let per_shape: Vec<usize> = config_shapes(&cfg)
         .iter()
@@ -83,9 +69,6 @@ fn bench_work_stealing_vs_static(c: &mut Criterion) {
 
     let mut g = c.benchmark_group("split");
     g.sample_size(10);
-    g.bench_with_input(BenchmarkId::new("x86-static-shards", 4), &cfg, |b, cfg| {
-        b.iter(|| count_static_shards(std::hint::black_box(cfg)))
-    });
     g.bench_with_input(BenchmarkId::new("x86-work-stealing", 4), &cfg, |b, cfg| {
         b.iter(|| count_par(std::hint::black_box(cfg)))
     });
@@ -121,7 +104,7 @@ fn bench_bounded_stream(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_streaming_vs_reference,
-    bench_work_stealing_vs_static,
+    bench_work_stealing,
     bench_five_events,
     bench_bounded_stream
 );

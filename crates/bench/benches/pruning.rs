@@ -9,25 +9,30 @@
 //! pruning/headline x86 |E|=5: naive 12.6s | pruned 4.0s (3.1x) | 1715002 consistent
 //! ```
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use txmm::serve::{outcomes_jsonl_line, serve_outcomes_source};
 use txmm::session::Session;
 use txmm_models::{Arch, Armv8, Model, Power, Sc, X86};
-use txmm_synth::{count_consistent_par, for_each_par, EnumConfig};
+use txmm_synth::{count_consistent_par_progress, walk, worker_count, EnumConfig};
 
 /// Enumerate-then-filter: every canonical class is constructed, then
 /// the full model votes — the baseline pruning competes against.
 fn naive_count(cfg: &EnumConfig, model: &dyn Model) -> usize {
-    let n = AtomicUsize::new(0);
-    for_each_par(cfg, |x| {
-        if model.consistent(x) {
-            n.fetch_add(1, Ordering::Relaxed);
-        }
-    });
-    n.into_inner()
+    let (counts, _, _) = walk(
+        cfg,
+        None,
+        worker_count(),
+        None,
+        |_| 0usize,
+        |_, x, n| {
+            if model.consistent(x) {
+                *n += 1;
+            }
+        },
+    );
+    counts.into_iter().sum()
 }
 
 /// One machine-readable headline row, serialised into `BENCH_prune.json`.
@@ -50,7 +55,7 @@ fn headline(rows: &mut Vec<Headline>, name: &str, cfg: &EnumConfig, model: &dyn 
     let naive = naive_count(cfg, model);
     let naive_t = t0.elapsed();
     let t0 = Instant::now();
-    let (pruned, st) = count_consistent_par(cfg, model);
+    let (pruned, st) = count_consistent_par_progress(cfg, model, worker_count(), None);
     let pruned_t = t0.elapsed();
     assert_eq!(naive, pruned, "{name}: pruned walk drifted from the filter");
     println!(
@@ -162,7 +167,7 @@ fn bench_pruning(c: &mut Criterion) {
         b.iter(|| naive_count(&x86, &model))
     });
     c.bench_function("pruning/x86-e4-pruned", |b| {
-        b.iter(|| count_consistent_par(&x86, &model).0)
+        b.iter(|| count_consistent_par_progress(&x86, &model, worker_count(), None).0)
     });
 
     // Outcome tables through the pruned per-mask walk vs the exhaustive

@@ -227,8 +227,11 @@ pub fn parse_litmus(src: &str) -> Result<LitmusTest, LitmusParseError> {
             continue; // all locations start at zero by convention
         }
         if let Some(rest) = line.strip_prefix("Test:") {
-            for part in rest.split("/\\") {
-                post.push(parse_check(part, lineno)?);
+            // An empty `Test:` line is the empty conjunction.
+            if !rest.trim().is_empty() {
+                for part in rest.split("/\\") {
+                    post.push(parse_check(part, lineno)?);
+                }
             }
             continue;
         }
@@ -349,6 +352,30 @@ mod tests {
         roundtrip(&catalog::power_exec3(true), Arch::Power, "iriw");
         roundtrip(&catalog::armv8_elision(false), Arch::Armv8, "elision");
         roundtrip(&catalog::rmw_txn(true), Arch::Power, "rmw-split");
+    }
+
+    /// An execution with no reads, no transactions and no contended
+    /// location renders an empty `Test:` line, which must parse back
+    /// and convert to the same execution.
+    #[test]
+    fn roundtrip_empty_postcondition() {
+        let mut b = txmm_core::ExecBuilder::new();
+        let t0 = b.new_thread();
+        b.write(t0, 0);
+        b.fence(t0, Fence::MFence);
+        let t1 = b.new_thread();
+        b.write(t1, 1);
+        let x = b.build().unwrap();
+        let t = litmus_from_execution("writes", &x, Arch::X86);
+        assert!(t.post.is_empty());
+        let printed = pseudocode(&t);
+        let back = parse_litmus(&printed).unwrap_or_else(|e| panic!("{e}\n{printed}"));
+        assert_eq!(back, t);
+        let y = crate::to_exec::execution_from_litmus(&back).expect("converts");
+        assert_eq!(
+            txmm_core::canon::canon_key(&y),
+            txmm_core::canon::canon_key(&x)
+        );
     }
 
     #[test]

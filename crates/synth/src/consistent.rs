@@ -35,15 +35,14 @@ use txmm_models::Model;
 use txmm_obs::WalkProgress;
 
 use crate::enumerate::{
-    config_shapes, enumerate_labels, for_deps, for_txns, kinds_for, shape_tids, walk_plan, CandSeq,
-    EnumConfig, Frontier, StructureSpace, Subtree,
+    enumerate_labels, for_deps, for_txns, kinds_for, shape_tids, walk, CandSeq, EnumConfig,
+    StructureSpace, Subtree,
 };
-use crate::par::worker_count;
-use crate::steal::{run_with_progress, StealStats};
+use crate::steal::StealStats;
 
 /// Process-wide prune telemetry, published once per completed walk
 /// (the walks run per request, so handles are created exactly once).
-fn publish_prune(st: &PruneStats) {
+pub(crate) fn publish_prune(st: &PruneStats) {
     use std::sync::OnceLock;
     static COUNTERS: OnceLock<([txmm_obs::Counter; 6], txmm_obs::Histogram)> = OnceLock::new();
     let ([cut, skipped, calls, micros, delta, fallback], batch_size) = COUNTERS.get_or_init(|| {
@@ -390,38 +389,21 @@ fn build_txns(
 /// Walk the structure space over one labelled event vector with oracle
 /// pruning; `visit` receives every surviving class representative.
 ///
-/// Two phase orders:
-///
-/// * **classic** (`txn_first == false`) — rf/co are walked once per
-///   (rmw, deps) choice with a transaction-agnostic oracle, and every
-///   transaction layout is expanded at the leaves. Survivors are *not*
-///   yet filtered by a full model check.
-/// * **txn-first** (`txn_first == true`) — the transaction layout is
-///   fixed *before* the rf/co walk and `oracle` must be the model's
-///   txns-known oracle with [`PruneOracle::txn_aware_exact`]. Every
-///   probe then decides full-model consistency of the partial
-///   candidate, so a surviving complete leaf **is** consistent — no
-///   downstream model check, no per-layout re-check, no `with_txns`
-///   clone. The walk repeats per layout, but probes are answered from
-///   delta state, which is far cheaper than a full check at every
-///   (leaf × layout).
+/// rf/co are walked once per (rmw, deps) choice with a
+/// transaction-agnostic oracle, and every transaction layout is
+/// expanded at the leaves. Survivors are *not* yet filtered by a full
+/// model check.
 fn pruned_structures(
     cfg: &EnumConfig,
     events: &[Event],
     oracle: &dyn PruneOracle,
-    txn_first: bool,
     st: &mut PruneStats,
     keep: &mut dyn FnMut(&Execution) -> bool,
     visit: &mut dyn FnMut(&Execution),
 ) {
     let n = events.len();
     let space = StructureSpace::new(cfg, events);
-    let mut walk = Walk::new(cfg, events, &space, oracle);
-    if txn_first {
-        // Layouts are enumerated outside the walk: a cut below skips
-        // rf/co assignments of the *current* layout only.
-        walk.txn_leaves = 1;
-    }
+    let walk = Walk::new(cfg, events, &space, oracle);
     let atomic_opts: &[bool] = if cfg.atomic_txns {
         &[false, true]
     } else {
@@ -433,87 +415,58 @@ fn pruned_structures(
             rmw.add(a, b);
         }
         for_deps(cfg, events, &space.dep_slots, &mut |addr, ctrl, data| {
-            let start = |txns: Vec<TxnClass>, walk: &Walk<'_>, st: &mut PruneStats| {
-                let base = Execution::from_parts(
-                    events.to_vec(),
-                    space.po,
-                    *addr,
-                    *ctrl,
-                    *data,
-                    rmw,
-                    Rel::empty(n),
-                    Rel::empty(n),
-                    txns,
+            let base = Execution::from_parts(
+                events.to_vec(),
+                space.po,
+                *addr,
+                *ctrl,
+                *data,
+                rmw,
+                Rel::empty(n),
+                Rel::empty(n),
+                vec![],
+            );
+            let mut pc = PartialCandidate::with_oracle(base, oracle);
+            // Structure-only violations (no rf/co yet) kill the whole
+            // subtree at once.
+            if !pc.viable(oracle, st) {
+                walk.cut(
+                    st,
+                    walk.rf_suffix[0]
+                        .saturating_mul(walk.co_suffix[0])
+                        .saturating_mul(walk.txn_leaves),
                 );
-                let pc = PartialCandidate::with_oracle(base, oracle);
-                // Structure-only violations (no rf/co yet) kill the
-                // whole subtree at once.
-                if !pc.viable(oracle, st) {
-                    walk.cut(
-                        st,
-                        walk.rf_suffix[0]
-                            .saturating_mul(walk.co_suffix[0])
-                            .saturating_mul(walk.txn_leaves),
-                    );
-                    return None;
-                }
-                Some(pc)
-            };
-            if txn_first {
+                return;
+            }
+            walk.rf(0, &mut pc, st, &mut |x| {
+                // One clone per completed rf/co assignment; the layouts
+                // cycle through it via `set_txns`.
+                let mut y = x.clone();
                 for_txns(&space.thread_slots, &space.txn_options, &mut |txn_ivs| {
                     for &atomic in atomic_opts {
                         let txns = build_txns(&space.thread_slots, txn_ivs, atomic);
                         if txns.is_empty() && atomic {
                             continue;
                         }
-                        let Some(mut pc) = start(txns, &walk, st) else {
-                            continue;
-                        };
-                        walk.rf(0, &mut pc, st, &mut |x| {
-                            debug_assert!(x.check_wf().is_ok(), "{:?}", x.check_wf());
-                            if keep(x) {
-                                visit(x);
-                            }
-                        });
+                        y.set_txns(txns);
+                        debug_assert!(y.check_wf().is_ok(), "{:?}", y.check_wf());
+                        if keep(&y) {
+                            visit(&y);
+                        }
                     }
                 });
-            } else {
-                let Some(mut pc) = start(vec![], &walk, st) else {
-                    return;
-                };
-                walk.rf(0, &mut pc, st, &mut |x| {
-                    // One clone per completed rf/co assignment; the
-                    // layouts cycle through it via `set_txns`.
-                    let mut y = x.clone();
-                    for_txns(&space.thread_slots, &space.txn_options, &mut |txn_ivs| {
-                        for &atomic in atomic_opts {
-                            let txns = build_txns(&space.thread_slots, txn_ivs, atomic);
-                            if txns.is_empty() && atomic {
-                                continue;
-                            }
-                            y.set_txns(txns);
-                            debug_assert!(y.check_wf().is_ok(), "{:?}", y.check_wf());
-                            if keep(&y) {
-                                visit(&y);
-                            }
-                        }
-                    });
-                });
-            }
+            });
         });
     }
 }
 
 /// Walk one frontier subtree with oracle pruning (the pruned analogue
-/// of [`crate::enumerate::enumerate_subtree`]). `txn_first` selects
-/// the phase order of [`pruned_structures`]; it requires a txns-known
-/// oracle with [`PruneOracle::txn_aware_exact`].
-pub fn pruned_subtree(
+/// of [`crate::enumerate::enumerate_subtree`]).
+pub(crate) fn pruned_subtree(
     cfg: &EnumConfig,
     shape: &[usize],
     sub: &Subtree,
     oracle: &dyn PruneOracle,
-    txn_first: bool,
     st: &mut PruneStats,
     visit: &mut dyn FnMut(&Execution),
 ) {
@@ -536,7 +489,6 @@ pub fn pruned_subtree(
             cfg,
             events,
             oracle,
-            txn_first,
             st,
             &mut |x| struct_canonical(x, &auts),
             visit,
@@ -546,60 +498,9 @@ pub fn pruned_subtree(
 
 // ---- Drivers ------------------------------------------------------------
 
-/// Sequentially walk the whole space with oracle pruning. `visit` sees
-/// every class representative the oracle could not rule out; run the
-/// full model check on them to recover exactly the consistent classes.
-pub fn enumerate_pruned(
-    cfg: &EnumConfig,
-    oracle: &dyn PruneOracle,
-    visit: &mut dyn FnMut(&Execution),
-) -> PruneStats {
-    walk_pruned(cfg, oracle, false, None, visit)
-}
-
-fn walk_pruned(
-    cfg: &EnumConfig,
-    oracle: &dyn PruneOracle,
-    txn_first: bool,
-    progress: Option<&WalkProgress>,
-    visit: &mut dyn FnMut(&Execution),
-) -> PruneStats {
-    if let Some(p) = progress {
-        p.add_total(walk_plan(cfg).weight);
-    }
-    let shapes = config_shapes(cfg);
-    let mut st = PruneStats::default();
-    for sub in Frontier::new(cfg) {
-        let before = (st.subtrees_cut, st.candidates_skipped);
-        let mut emitted = 0u64;
-        pruned_subtree(
-            cfg,
-            &shapes[sub.shape_idx],
-            &sub,
-            oracle,
-            txn_first,
-            &mut st,
-            &mut |x| {
-                emitted += 1;
-                visit(x);
-            },
-        );
-        if let Some(p) = progress {
-            p.subtree_done(
-                sub.weight,
-                emitted,
-                st.subtrees_cut - before.0,
-                st.candidates_skipped - before.1,
-            );
-        }
-    }
-    publish_prune(&st);
-    st
-}
-
-/// Parallel pruned walk on the work-stealing pool; the per-worker
-/// states come back in worker order with the merged prune counters.
-/// [`CandSeq`] orders the *surviving* stream deterministically.
+/// The pruned [`walk`]: `visit` sees every class representative the
+/// oracle could not rule out; run the full model check on them to
+/// recover exactly the consistent classes.
 pub fn visit_pruned_par<S, FI, FV>(
     cfg: &EnumConfig,
     oracle: &dyn PruneOracle,
@@ -612,158 +513,24 @@ where
     FI: Fn(usize) -> S + Sync,
     FV: Fn(CandSeq, &Execution, &mut S) + Sync,
 {
-    visit_pruned_par_mode(cfg, oracle, false, workers, None, init, visit)
+    walk(cfg, Some(oracle), workers, None, init, visit)
 }
 
-/// [`visit_pruned_par`] with optional live progress: the walk plan is
-/// declared up front, and every completed subtree flushes its weight,
-/// emit count and prune-cut deltas into `progress`. With `None` the
-/// walk is identical to [`visit_pruned_par`].
-pub fn visit_pruned_par_progress<S, FI, FV>(
-    cfg: &EnumConfig,
-    oracle: &dyn PruneOracle,
-    workers: usize,
-    progress: Option<&WalkProgress>,
-    init: FI,
-    visit: FV,
-) -> (Vec<S>, PruneStats, StealStats)
-where
-    S: Send,
-    FI: Fn(usize) -> S + Sync,
-    FV: Fn(CandSeq, &Execution, &mut S) + Sync,
-{
-    visit_pruned_par_mode(cfg, oracle, false, workers, progress, init, visit)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn visit_pruned_par_mode<S, FI, FV>(
-    cfg: &EnumConfig,
-    oracle: &dyn PruneOracle,
-    txn_first: bool,
-    workers: usize,
-    progress: Option<&WalkProgress>,
-    init: FI,
-    visit: FV,
-) -> (Vec<S>, PruneStats, StealStats)
-where
-    S: Send,
-    FI: Fn(usize) -> S + Sync,
-    FV: Fn(CandSeq, &Execution, &mut S) + Sync,
-{
-    if let Some(p) = progress {
-        p.add_total(walk_plan(cfg).weight);
-    }
-    let shapes = config_shapes(cfg);
-    let (pairs, steal) = run_with_progress(
-        Frontier::new(cfg),
-        workers,
-        progress,
-        |w| (init(w), PruneStats::default()),
-        |sub: Subtree, state: &mut (S, PruneStats)| {
-            let mut emit = 0u32;
-            let (s, st) = state;
-            let before = (st.subtrees_cut, st.candidates_skipped);
-            pruned_subtree(
-                cfg,
-                &shapes[sub.shape_idx],
-                &sub,
-                oracle,
-                txn_first,
-                st,
-                &mut |x| {
-                    visit((sub.seq, emit), x, s);
-                    emit += 1;
-                },
-            );
-            if let Some(p) = progress {
-                p.subtree_done(
-                    sub.weight,
-                    emit as u64,
-                    st.subtrees_cut - before.0,
-                    st.candidates_skipped - before.1,
-                );
-            }
-        },
-    );
-    let mut states = Vec::with_capacity(pairs.len());
-    let mut st = PruneStats::default();
-    for (s, ps) in pairs {
-        states.push(s);
-        st.merge(&ps);
-    }
-    publish_prune(&st);
-    (states, st, steal)
-}
-
-/// Enumerate exactly the model-consistent classes of the space,
-/// streaming one representative per class through `visit`. The
-/// transaction-agnostic oracle accelerates the walk; a [`LeafChecker`]
-/// (txn-independent slots shared by reference across the layouts of
-/// each rf/co assignment) decides at the leaves.
-///
-/// The txn-first walk ([`enumerate_consistent_txn_first`]) needs no
-/// leaf check at all, but measures *slower* here: repeating the rf/co
-/// walk per transaction layout multiplies delta probes (~0.9 µs each,
-/// three detectors fed per edge) past the cost of a shared-slot leaf
-/// check (~0.5 µs), so the classic order stays the default.
-pub fn enumerate_consistent(
-    cfg: &EnumConfig,
-    model: &dyn Model,
-    visit: &mut dyn FnMut(&Execution),
-) -> PruneStats {
-    let oracle = oracle_for(model, false);
-    let mut check = LeafChecker::new(model);
-    walk_pruned(cfg, oracle, false, None, &mut |x| {
-        if check.consistent(x) {
-            visit(x);
-        }
-    })
-}
-
-/// [`enumerate_consistent`] over the **txn-first** walk: transaction
-/// layouts are fixed before the rf/co stages and the model's
-/// txns-known oracle decides full consistency probe by probe, so the
-/// surviving stream needs no leaf check. `None` unless that oracle is
-/// [`PruneOracle::txn_aware_exact`] (Power, C++ and `.cat` programs
-/// would multiply expensive fallback probes by the layout count).
-pub fn enumerate_consistent_txn_first(
-    cfg: &EnumConfig,
-    model: &dyn Model,
-    visit: &mut dyn FnMut(&Execution),
-) -> Option<PruneStats> {
-    let oracle = oracle_for(model, true);
-    if !oracle.txn_aware_exact() {
-        return None;
-    }
-    Some(walk_pruned(cfg, oracle, true, None, visit))
-}
-
-/// Count the model-consistent classes (sequential).
-pub fn count_consistent(cfg: &EnumConfig, model: &dyn Model) -> (usize, PruneStats) {
-    let mut n = 0usize;
-    let st = enumerate_consistent(cfg, model, &mut |_| n += 1);
-    (n, st)
-}
-
-/// Parallel [`count_consistent`] on the work-stealing pool.
-pub fn count_consistent_par(cfg: &EnumConfig, model: &dyn Model) -> (usize, PruneStats) {
-    count_consistent_par_progress(cfg, model, worker_count(), None)
-}
-
-/// [`count_consistent_par`] with optional live progress: classes kept
-/// by the leaf check land in `progress` as they are found, so a
-/// heartbeat reporter's final frame totals equal the returned count.
+/// Count the model-consistent classes of the space on `workers`
+/// threads. The transaction-agnostic oracle accelerates the walk; a
+/// [`LeafChecker`] (txn-independent slots shared by reference across
+/// the layouts of each rf/co assignment) decides at the leaves. With
+/// `progress`, kept classes land in it as they are found, so a heartbeat
+/// reporter's final frame totals equal the returned count.
 pub fn count_consistent_par_progress(
     cfg: &EnumConfig,
     model: &dyn Model,
     workers: usize,
     progress: Option<&WalkProgress>,
 ) -> (usize, PruneStats) {
-    let oracle = oracle_for(model, false);
-    let (counts, st, _) = visit_pruned_par_mode(
+    let (counts, st, _) = walk(
         cfg,
-        oracle,
-        false,
+        Some(oracle_for(model, false)),
         workers,
         progress,
         |_| (0usize, LeafChecker::new(model)),
@@ -782,10 +549,31 @@ pub fn count_consistent_par_progress(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::canon::canon_key;
     use crate::enumerate::enumerate;
     use std::collections::HashSet;
+    use txmm_core::canon::canon_key;
     use txmm_models::{Sc, X86};
+
+    /// The consistent classes the pruned walk keeps, on `workers`
+    /// threads.
+    fn consistent_keys(
+        cfg: &EnumConfig,
+        model: &dyn Model,
+        workers: usize,
+    ) -> (Vec<Vec<u8>>, PruneStats) {
+        let (states, st, _) = visit_pruned_par(
+            cfg,
+            oracle_for(model, false),
+            workers,
+            |_| (Vec::new(), LeafChecker::new(model)),
+            |_, x, (keys, check)| {
+                if check.consistent(x) {
+                    keys.push(canon_key(x));
+                }
+            },
+        );
+        (states.into_iter().flat_map(|(keys, _)| keys).collect(), st)
+    }
 
     /// Pruned-consistent must equal enumerate-then-filter: same
     /// classes, same representatives.
@@ -804,10 +592,9 @@ mod tests {
                     filtered.insert(canon_key(x));
                 }
             });
-            let mut pruned = HashSet::new();
-            let st = enumerate_consistent(&cfg, model, &mut |x| {
-                assert!(pruned.insert(canon_key(x)), "duplicate class");
-            });
+            let (keys, st) = consistent_keys(&cfg, model, 1);
+            let pruned: HashSet<Vec<u8>> = keys.iter().cloned().collect();
+            assert_eq!(pruned.len(), keys.len(), "duplicate class");
             assert_eq!(pruned, filtered, "{}", model.name());
             assert!(
                 st.delta_answers + st.oracle_calls > 0,
@@ -827,51 +614,18 @@ mod tests {
         // Count *all* survivors (pre-keep candidates are not visible,
         // so compare in class units: survivors + a skipped lower bound
         // cannot exceed the unpruned candidate count).
-        let mut survivors = 0u64;
-        let st = enumerate_pruned(&cfg, oracle_for(&X86::tm(), false), &mut |_| survivors += 1);
-        assert!(survivors <= total_unpruned);
+        let model = X86::tm();
+        let oracle = oracle_for(&model, false);
+        let (survivors, st, _) = visit_pruned_par(&cfg, oracle, 1, |_| 0u64, |_, _, n| *n += 1);
+        assert!(survivors[0] <= total_unpruned);
         assert!(st.candidates_skipped > 0);
-    }
-
-    /// The txn-first walk yields exactly the classic walk's consistent
-    /// classes (and exercises the txns-known exact delta plans, which
-    /// the classic walk never builds).
-    #[test]
-    fn txn_first_matches_classic() {
-        for (cfg, model) in [
-            (
-                EnumConfig::hw(txmm_models::Arch::X86, 3),
-                &X86::tm() as &dyn Model,
-            ),
-            (
-                EnumConfig::hw(txmm_models::Arch::Sc, 3),
-                &txmm_models::Tsc as &dyn Model,
-            ),
-        ] {
-            let mut classic = HashSet::new();
-            enumerate_consistent(&cfg, model, &mut |x| {
-                classic.insert(canon_key(x));
-            });
-            let mut first = HashSet::new();
-            let st = enumerate_consistent_txn_first(&cfg, model, &mut |x| {
-                assert!(first.insert(canon_key(x)), "duplicate class");
-            })
-            .expect("txn-aware exact oracle");
-            assert_eq!(first, classic, "{}", model.name());
-            assert!(st.delta_answers > 0, "txn-aware plan never consulted");
-        }
-        // Inexact txns-known plans refuse the mode.
-        let cfg = EnumConfig::hw(txmm_models::Arch::Power, 3);
-        assert!(
-            enumerate_consistent_txn_first(&cfg, &txmm_models::Power::tm(), &mut |_| {}).is_none()
-        );
     }
 
     #[test]
     fn parallel_matches_sequential() {
         let cfg = EnumConfig::hw(txmm_models::Arch::X86, 3);
-        let (seq, seq_st) = count_consistent(&cfg, &X86::tm());
-        let (par, par_st) = count_consistent_par(&cfg, &X86::tm());
+        let (seq, seq_st) = count_consistent_par_progress(&cfg, &X86::tm(), 1, None);
+        let (par, par_st) = count_consistent_par_progress(&cfg, &X86::tm(), 3, None);
         assert_eq!(seq, par);
         assert_eq!(seq_st.subtrees_cut, par_st.subtrees_cut);
         assert_eq!(seq_st.candidates_skipped, par_st.candidates_skipped);
@@ -887,13 +641,18 @@ mod tests {
                 filtered += 1;
             }
         });
-        let mut got = 0usize;
-        let st = enumerate_pruned(&cfg, &NoPrune, &mut |x| {
-            if Sc.consistent(x) {
-                got += 1;
-            }
-        });
-        assert_eq!(got, filtered);
+        let (got, st, _) = visit_pruned_par(
+            &cfg,
+            &NoPrune,
+            1,
+            |_| 0usize,
+            |_, x, n| {
+                if Sc.consistent(x) {
+                    *n += 1;
+                }
+            },
+        );
+        assert_eq!(got[0], filtered);
         assert_eq!(st.subtrees_cut, 0);
     }
 }

@@ -4,36 +4,34 @@
 //! under `M` but consistent under `N` — the seed operation behind axiom
 //! refinement (§4.1).
 //!
-//! The search consumes the streaming enumerator on the work-stealing
-//! pool ([`crate::enumerate::visit_par`]): candidates are checked on
-//! whichever worker enumerates them, witnesses carry their position in
-//! the sequential enumeration order, and a final sort makes the
-//! parallel result identical to the sequential one (the sequential
-//! versions are kept as differential references).
+//! Both searches run on the enumeration [`walk`]: candidates are
+//! checked on whichever worker enumerates them, and witnesses carry
+//! their position in the sequential enumeration order, so a final sort
+//! makes the result independent of the worker count (`workers = 1` is
+//! the sequential reference).
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use txmm_core::Execution;
 use txmm_models::{consistent_pair, Model};
 
-use crate::enumerate::{enumerate, visit_par, CandSeq, EnumConfig};
-use crate::par::worker_count;
+use crate::enumerate::{walk, CandSeq, EnumConfig};
 
 /// Executions distinguishing `m` (forbids) from `n` (allows), up to the
-/// configured size; keeps the first `limit` witnesses (in enumeration
-/// order) when given.
-///
-/// Runs on the work-stealing pool; the result lists the same witnesses
-/// in the same order as [`distinguish_seq`].
+/// configured size, searched on `workers` threads; keeps the first
+/// `limit` witnesses (in enumeration order) when given.
 pub fn distinguish(
     cfg: &EnumConfig,
     m: &dyn Model,
     n: &dyn Model,
     limit: Option<usize>,
+    workers: usize,
 ) -> Vec<Execution> {
-    let (states, _) = visit_par(
+    let (states, _, _) = walk(
         cfg,
-        worker_count(),
+        None,
+        workers,
+        None,
         |_| Vec::new(),
         |seq, x, found: &mut Vec<(CandSeq, Execution)>| {
             let (mc, nc) = consistent_pair(m, n, x);
@@ -50,65 +48,36 @@ pub fn distinguish(
     all.into_iter().map(|(_, x)| x).collect()
 }
 
-/// The sequential reference implementation of [`distinguish`].
-pub fn distinguish_seq(
-    cfg: &EnumConfig,
-    m: &dyn Model,
-    n: &dyn Model,
-    limit: Option<usize>,
-) -> Vec<Execution> {
-    let mut out = Vec::new();
-    enumerate(cfg, &mut |x| {
-        if let Some(l) = limit {
-            if out.len() >= l {
-                return;
-            }
-        }
-        let (mc, nc) = consistent_pair(m, n, x);
-        if !mc && nc {
-            out.push(x.clone());
-        }
-    });
-    out
-}
-
 /// Are the two models equivalent on every execution up to the bound?
 ///
-/// Candidates stream across the work-stealing pool; the first
-/// disagreement anywhere stops every worker at its next candidate.
-pub fn equivalent(cfg: &EnumConfig, m: &dyn Model, n: &dyn Model) -> bool {
+/// Candidates stream across `workers` threads; the first disagreement
+/// anywhere stops every worker at its next candidate.
+pub fn equivalent(cfg: &EnumConfig, m: &dyn Model, n: &dyn Model, workers: usize) -> bool {
     let diverged = AtomicBool::new(false);
-    crate::enumerate::for_each_par(cfg, |x| {
-        if diverged.load(Ordering::Relaxed) {
-            return;
-        }
-        let (mc, nc) = consistent_pair(m, n, x);
-        if mc != nc {
-            diverged.store(true, Ordering::Relaxed);
-        }
-    });
+    walk(
+        cfg,
+        None,
+        workers,
+        None,
+        |_| (),
+        |_, x, _| {
+            if diverged.load(Ordering::Relaxed) {
+                return;
+            }
+            let (mc, nc) = consistent_pair(m, n, x);
+            if mc != nc {
+                diverged.store(true, Ordering::Relaxed);
+            }
+        },
+    );
     !diverged.load(Ordering::Relaxed)
-}
-
-/// The sequential reference implementation of [`equivalent`].
-pub fn equivalent_seq(cfg: &EnumConfig, m: &dyn Model, n: &dyn Model) -> bool {
-    let mut eq = true;
-    enumerate(cfg, &mut |x| {
-        if !eq {
-            return;
-        }
-        let (mc, nc) = consistent_pair(m, n, x);
-        if mc != nc {
-            eq = false;
-        }
-    });
-    eq
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::canon::canon_key;
+    use crate::steal::worker_count;
+    use txmm_core::canon::canon_key;
     use txmm_models::{Arch, Sc, Tsc, X86};
 
     #[test]
@@ -125,7 +94,7 @@ mod tests {
             attrs: false,
             atomic_txns: false,
         };
-        let found = distinguish(&cfg, &Tsc, &Sc, Some(5));
+        let found = distinguish(&cfg, &Tsc, &Sc, Some(5), worker_count());
         assert!(!found.is_empty());
         for x in &found {
             assert!(
@@ -150,11 +119,11 @@ mod tests {
             attrs: false,
             atomic_txns: false,
         };
-        let found = distinguish(&cfg, &Sc, &X86::base(), Some(1));
+        let found = distinguish(&cfg, &Sc, &X86::base(), Some(1), worker_count());
         assert!(!found.is_empty());
         // The reverse direction finds nothing: x86 never forbids what SC
         // allows.
-        let rev = distinguish(&cfg, &X86::base(), &Sc, Some(1));
+        let rev = distinguish(&cfg, &X86::base(), &Sc, Some(1), worker_count());
         assert!(rev.is_empty());
     }
 
@@ -172,9 +141,9 @@ mod tests {
             attrs: false,
             atomic_txns: false,
         };
-        assert!(equivalent(&cfg, &X86::base(), &X86::base()));
+        assert!(equivalent(&cfg, &X86::base(), &X86::base(), worker_count()));
         assert!(
-            equivalent(&cfg, &X86::base(), &X86::tm()),
+            equivalent(&cfg, &X86::base(), &X86::tm(), worker_count()),
             "equal without transactions"
         );
     }
@@ -193,22 +162,25 @@ mod tests {
             attrs: false,
             atomic_txns: false,
         };
-        let par: Vec<_> = distinguish(&cfg, &Tsc, &Sc, None)
+        let par: Vec<_> = distinguish(&cfg, &Tsc, &Sc, None, 3)
             .iter()
             .map(canon_key)
             .collect();
-        let seq: Vec<_> = distinguish_seq(&cfg, &Tsc, &Sc, None)
+        let seq: Vec<_> = distinguish(&cfg, &Tsc, &Sc, None, 1)
             .iter()
             .map(canon_key)
             .collect();
         assert_eq!(par, seq, "same witnesses in the same enumeration order");
         // Limits truncate the same prefix.
-        let par2: Vec<_> = distinguish(&cfg, &Tsc, &Sc, Some(3))
+        let par2: Vec<_> = distinguish(&cfg, &Tsc, &Sc, Some(3), 3)
             .iter()
             .map(canon_key)
             .collect();
         assert_eq!(par2, seq[..3]);
-        assert_eq!(equivalent(&cfg, &Tsc, &Sc), equivalent_seq(&cfg, &Tsc, &Sc));
-        assert_eq!(equivalent(&cfg, &Sc, &Sc), equivalent_seq(&cfg, &Sc, &Sc));
+        assert_eq!(
+            equivalent(&cfg, &Tsc, &Sc, 3),
+            equivalent(&cfg, &Tsc, &Sc, 1)
+        );
+        assert_eq!(equivalent(&cfg, &Sc, &Sc, 3), equivalent(&cfg, &Sc, &Sc, 1));
     }
 }

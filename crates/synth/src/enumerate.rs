@@ -19,11 +19,13 @@
 //!
 //! [`Frontier`] is the resumable form of that decomposition: a lazy
 //! iterator of subtree jobs. The sequential drivers ([`enumerate`],
-//! [`count`]) walk it in order; the parallel drivers ([`visit_par`],
-//! [`for_each_par`], [`count_par`], [`stream_par`]) feed it to the
-//! work-stealing pool ([`crate::steal`]), which splits *within* a shape
-//! — one huge shape no longer serialises a core's worth of work the way
-//! the seed shape-shard `par_map` split did.
+//! [`count`]) walk it in order; [`walk`] feeds it to the work-stealing
+//! pool ([`crate::steal`]), which splits *within* a shape, so one huge
+//! shape does not serialise a core's worth of work. Every parallel
+//! driver ([`count_par`], the consistent walks, synthesis, the
+//! metatheory sweeps) is a call into [`walk`]; with one worker it is the
+//! sequential reference. [`stream_par`] runs the same frontier into a
+//! bounded channel.
 //!
 //! The seed generate-then-dedup pipeline survives as
 //! [`enumerate_reference`] / [`count_reference`]: the differential
@@ -35,11 +37,13 @@ use std::collections::HashSet;
 use txmm_core::canon::{
     canon_key, kind_rows_sorted, kind_tag, label_canonical, struct_canonical, Label,
 };
+use txmm_core::incr::{PruneOracle, PruneStats};
 use txmm_core::{Attrs, Event, EventKind, Execution, Fence, Rel, TxnClass};
 use txmm_models::Arch;
+use txmm_obs::WalkProgress;
 
-use crate::par::worker_count;
-use crate::steal::{run_with, StealStats};
+use crate::consistent::{pruned_subtree, publish_prune};
+use crate::steal::{run_with, worker_count, StealStats};
 
 /// What the enumerator may use.
 #[derive(Debug, Clone)]
@@ -291,11 +295,6 @@ impl Frontier {
         }
     }
 
-    /// The shape of a subtree this frontier yielded.
-    pub fn shape(&self, sub: &Subtree) -> &[usize] {
-        &self.shapes[sub.shape_idx]
-    }
-
     fn advance(&mut self) {
         let Some((shape_idx, choice)) = self.state.as_mut() else {
             return;
@@ -347,7 +346,7 @@ impl Iterator for Frontier {
 
 /// Enumerate one subtree, streaming exactly one representative per
 /// symmetry class through `visit`.
-pub fn enumerate_subtree(
+pub(crate) fn enumerate_subtree(
     cfg: &EnumConfig,
     shape: &[usize],
     sub: &Subtree,
@@ -410,36 +409,30 @@ pub fn enumerate(cfg: &EnumConfig, visit: &mut dyn FnMut(&Execution)) {
 /// exactly.
 pub type CandSeq = (u64, u32);
 
-/// Run `visit` over every candidate on `workers` work-stealing threads.
+/// The one enumeration walk every driver runs on.
 ///
-/// Each worker owns a private state built by `init`; the states come
-/// back in worker order together with the pool counters, so callers
-/// merge (and, via [`CandSeq`], order) results deterministically.
-pub fn visit_par<S, FI, FV>(
+/// Frontier subtrees go to the work-stealing pool on `workers` threads;
+/// `workers <= 1` is the sequential reference, a plain in-order loop.
+/// With `oracle` `None` every subtree is enumerated in full. With
+/// `Some`, the oracle cuts rf/co subtrees that no completion can make
+/// consistent, and `visit` sees only the survivors (filter them by the
+/// full model, e.g. through a [`crate::LeafChecker`], to recover exactly
+/// the consistent classes).
+///
+/// Each worker owns a private state built by `init`. The states come
+/// back in worker order with the merged prune counters (all zero without
+/// an oracle) and the pool counters, and [`CandSeq`] orders the results
+/// deterministically. With `progress`, the walk plan is declared up
+/// front and every finished subtree flushes its weight, emit count and
+/// prune-cut deltas into it.
+pub fn walk<S, FI, FV>(
     cfg: &EnumConfig,
+    oracle: Option<&dyn PruneOracle>,
     workers: usize,
+    progress: Option<&WalkProgress>,
     init: FI,
     visit: FV,
-) -> (Vec<S>, StealStats)
-where
-    S: Send,
-    FI: Fn(usize) -> S + Sync,
-    FV: Fn(CandSeq, &Execution, &mut S) + Sync,
-{
-    visit_par_progress(cfg, workers, None, init, visit)
-}
-
-/// [`visit_par`] with optional live progress: the walk plan is
-/// declared up front and every completed subtree flushes its weight
-/// and emit count into `progress`. With `None` the walk is identical
-/// to [`visit_par`].
-pub fn visit_par_progress<S, FI, FV>(
-    cfg: &EnumConfig,
-    workers: usize,
-    progress: Option<&txmm_obs::WalkProgress>,
-    init: FI,
-    visit: FV,
-) -> (Vec<S>, StealStats)
+) -> (Vec<S>, PruneStats, StealStats)
 where
     S: Send,
     FI: Fn(usize) -> S + Sync,
@@ -449,30 +442,44 @@ where
         p.add_total(walk_plan(cfg).weight);
     }
     let shapes = config_shapes(cfg);
-    let frontier = Frontier::over_shapes(cfg, shapes.clone());
-    crate::steal::run_with_progress(
-        frontier,
+    let (pairs, steal) = run_with(
+        Frontier::new(cfg),
         workers,
         progress,
-        init,
-        |sub: Subtree, state: &mut S| {
+        |w| (init(w), PruneStats::default()),
+        |sub: Subtree, state: &mut (S, PruneStats)| {
+            let (s, st) = state;
+            let before = (st.subtrees_cut, st.candidates_skipped);
+            let shape = &shapes[sub.shape_idx];
             let mut emit = 0u32;
-            enumerate_subtree(cfg, &shapes[sub.shape_idx], &sub, &mut |x| {
-                visit((sub.seq, emit), x, state);
+            let mut emit_one = |x: &Execution| {
+                visit((sub.seq, emit), x, s);
                 emit += 1;
-            });
+            };
+            match oracle {
+                None => enumerate_subtree(cfg, shape, &sub, &mut emit_one),
+                Some(o) => pruned_subtree(cfg, shape, &sub, o, st, &mut emit_one),
+            }
             if let Some(p) = progress {
-                p.subtree_done(sub.weight, emit as u64, 0, 0);
+                p.subtree_done(
+                    sub.weight,
+                    emit as u64,
+                    st.subtrees_cut - before.0,
+                    st.candidates_skipped - before.1,
+                );
             }
         },
-    )
-}
-
-/// Streaming parallel enumeration: `f` runs on the pool's workers, one
-/// call per candidate, in no particular order.
-pub fn for_each_par<F: Fn(&Execution) + Sync>(cfg: &EnumConfig, f: F) -> StealStats {
-    let (_, stats) = visit_par(cfg, worker_count(), |_| (), |_, x, _| f(x));
-    stats
+    );
+    let mut states = Vec::with_capacity(pairs.len());
+    let mut st = PruneStats::default();
+    for (s, ps) in pairs {
+        states.push(s);
+        st.merge(&ps);
+    }
+    if oracle.is_some() {
+        publish_prune(&st);
+    }
+    (states, st, steal)
 }
 
 /// A bounded stream of enumerated candidates: workers enumerate on a
@@ -490,10 +497,10 @@ pub fn stream_par(cfg: EnumConfig, capacity: usize) -> impl Iterator<Item = Exec
     std::thread::spawn(move || {
         let gone = AtomicBool::new(false);
         let shapes = config_shapes(&cfg);
-        let frontier = Frontier::over_shapes(&cfg, shapes.clone());
         run_with(
-            frontier,
+            Frontier::new(&cfg),
             worker_count(),
+            None,
             |_| tx.clone(),
             |sub: Subtree, tx| {
                 if gone.load(Ordering::Relaxed) {
@@ -522,7 +529,14 @@ pub fn count(cfg: &EnumConfig) -> usize {
 
 /// Parallel [`count`] on the work-stealing pool.
 pub fn count_par(cfg: &EnumConfig) -> usize {
-    let (counts, _) = visit_par(cfg, worker_count(), |_| 0usize, |_, _, n| *n += 1);
+    let (counts, _, _) = walk(
+        cfg,
+        None,
+        worker_count(),
+        None,
+        |_| 0usize,
+        |_, _, n| *n += 1,
+    );
     counts.into_iter().sum()
 }
 
@@ -1137,9 +1151,11 @@ mod tests {
         enumerate(&cfg, &mut |x| seq.push(canon_key(x)));
         // Work-stealing drivers: same candidates, and sorting by CandSeq
         // reproduces the sequential order exactly.
-        let (mut states, _) = visit_par(
+        let (mut states, _, _) = walk(
             &cfg,
+            None,
             3,
+            None,
             |_| Vec::new(),
             |seq, x, s: &mut Vec<(CandSeq, Vec<u8>)>| s.push((seq, canon_key(x))),
         );

@@ -6,8 +6,11 @@
 //! minimally-forbidden ("Forbid") and maximally-allowed ("Allow")
 //! conformance suites.
 //!
-//! * [`enumerate`] — candidate-execution generation per architecture;
-//! * [`canon`] — canonical forms (thread/location symmetry reduction);
+//! * [`enumerate`] — candidate-execution generation per architecture,
+//!   and [`walk`], the one enumeration walk every driver runs on
+//!   (`workers = 1` is the sequential reference);
+//! * [`consistent`] — the consistency-pruned walk and leaf checking;
+//! * [`steal`] — the work-stealing pool the walk runs on;
 //! * [`weaken`] — the ⊏ order: event removal, dependency removal,
 //!   event downgrade, transaction-boundary stripping;
 //! * [`suites`] — Forbid/Allow synthesis with discovery timestamps
@@ -28,31 +31,23 @@
 //! assert!(r.forbid.len() >= 4);
 //! ```
 
-pub mod canon;
 pub mod consistent;
 pub mod diff;
 pub mod enumerate;
-pub mod par;
 pub mod steal;
 pub mod suites;
 pub mod weaken;
 
-pub use canon::canon_key;
-pub use consistent::{
-    count_consistent, count_consistent_par, count_consistent_par_progress, enumerate_consistent,
-    enumerate_consistent_txn_first, enumerate_pruned, oracle_for, visit_pruned_par,
-    visit_pruned_par_progress, LeafChecker,
-};
-pub use diff::{distinguish, distinguish_seq, equivalent, equivalent_seq};
+pub use consistent::{count_consistent_par_progress, oracle_for, visit_pruned_par, LeafChecker};
+pub use diff::{distinguish, equivalent};
 pub use enumerate::{
-    count, count_par, count_reference, enumerate, enumerate_reference, enumerate_shape,
-    for_each_par, stream_par, visit_par, visit_par_progress, walk_plan, CandSeq, EnumConfig,
-    Frontier, Subtree, WalkPlan,
+    count, count_par, count_reference, enumerate, enumerate_reference, enumerate_shape, stream_par,
+    walk, walk_plan, CandSeq, EnumConfig, Frontier, Subtree, WalkPlan,
 };
-pub use par::par_map;
-pub use steal::{run_with, run_with_progress, StealStats};
+pub use steal::{run_with, worker_count, StealStats};
 pub use suites::{
-    synthesise, synthesise_pruned, synthesise_seq, synthesise_streamed,
-    synthesise_streamed_progress, txn_histogram, FoundTest, SuiteResult,
+    synthesise, synthesise_seq, synthesise_streamed, synthesise_streamed_progress, txn_histogram,
+    FoundTest, SuiteResult,
 };
+pub use txmm_core::canon::canon_key;
 pub use weaken::weakenings;

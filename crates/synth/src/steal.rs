@@ -1,19 +1,20 @@
 //! A work-stealing deque pool for candidate enumeration.
 //!
-//! The seed parallelism ([`crate::par::par_map`]) handed out whole
-//! thread-shape shards: at |E| ≥ 4 a single large shape holds most of
-//! the candidate space, so one worker ends up serialising a core's
-//! worth of work while the rest idle. This pool splits *within* a
-//! shape: the enumeration frontier is a lazy stream of coarse subtree
-//! jobs (one per canonical kind assignment — hundreds to thousands per
-//! large shape), each worker owns a deque of jobs, takes from its own
-//! back, **steals from the front** of a victim's deque when empty, and
-//! refills from the shared frontier in small chunks. The biggest shape
-//! therefore spreads across every worker instead of pinning one.
+//! Handing out whole thread-shape shards does not balance: at |E| ≥ 4 a
+//! single large shape holds most of the candidate space, so one worker
+//! ends up serialising a core's worth of work while the rest idle. This
+//! pool splits *within* a shape: the enumeration frontier is a lazy
+//! stream of coarse subtree jobs (one per canonical kind assignment —
+//! hundreds to thousands per large shape), each worker owns a deque of
+//! jobs, takes from its own back, **steals from the front** of a
+//! victim's deque when empty, and refills from the shared frontier in
+//! small chunks. The biggest shape therefore spreads across every worker
+//! instead of pinning one.
 //!
 //! The pool is generic over the job type so every sweep (enumeration,
-//! synthesis, the metatheory checks) reuses it; per-worker state comes
-//! back to the caller for deterministic merging.
+//! synthesis, the metatheory checks, the outcome engine's mask walks)
+//! reuses it; per-worker state comes back to the caller for
+//! deterministic merging.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -68,6 +69,13 @@ impl StealStats {
     }
 }
 
+/// How many worker threads the parallel drivers use by default.
+pub fn worker_count() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
+}
+
 /// Run every job from `jobs` on `workers` work-stealing threads.
 ///
 /// `init(w)` builds worker `w`'s private state; `work(job, state)` runs
@@ -75,29 +83,12 @@ impl StealStats {
 /// worker order) plus the run's counters, so callers merge
 /// deterministically. With `workers <= 1` the pool degenerates to a
 /// plain sequential loop (no threads, no locks on the hot path).
+///
+/// When `progress` is set, the pool registers one [`WorkerLane`] per
+/// worker and keeps per-worker job/steal counts plus busy/idle wall
+/// time, so a heartbeat reporter can show utilisation mid-run. With
+/// `None` the hot path takes no clocks and touches no extra atomics.
 pub fn run_with<J, S, I, FI, FW>(
-    jobs: I,
-    workers: usize,
-    init: FI,
-    work: FW,
-) -> (Vec<S>, StealStats)
-where
-    J: Send,
-    S: Send,
-    I: Iterator<Item = J> + Send,
-    FI: Fn(usize) -> S + Sync,
-    FW: Fn(J, &mut S) + Sync,
-{
-    run_with_progress(jobs, workers, None, init, work)
-}
-
-/// [`run_with`] with optional live-progress lanes: when `progress` is
-/// set, the pool registers one [`WorkerLane`] per worker and keeps
-/// per-worker job/steal counts plus busy/idle wall time, so a
-/// heartbeat reporter can show utilisation mid-run. With `progress`
-/// `None` the hot path is identical to [`run_with`] — no clocks, no
-/// extra atomics.
-pub fn run_with_progress<J, S, I, FI, FW>(
     jobs: I,
     workers: usize,
     progress: Option<&WalkProgress>,
@@ -276,6 +267,7 @@ mod tests {
         let (states, stats) = run_with(
             0..500usize,
             4,
+            None,
             |_| 0usize,
             |j, s| {
                 hits[j].fetch_add(1, Ordering::Relaxed);
@@ -292,6 +284,7 @@ mod tests {
         let (states, stats) = run_with(
             0..10usize,
             1,
+            None,
             |_| Vec::new(),
             |j, s: &mut Vec<usize>| s.push(j),
         );
@@ -318,6 +311,7 @@ mod tests {
         let (states, stats) = run_with(
             costs.into_iter(),
             3,
+            None,
             |_| 0u64,
             |cost, acc| *acc = acc.wrapping_add(job(cost)),
         );
@@ -331,7 +325,7 @@ mod tests {
 
     #[test]
     fn empty_frontier_terminates() {
-        let (states, stats) = run_with(std::iter::empty::<usize>(), 4, |_| (), |_, _| {});
+        let (states, stats) = run_with(std::iter::empty::<usize>(), 4, None, |_| (), |_, _| {});
         assert_eq!(stats.jobs, 0);
         assert_eq!(states.len(), 4);
     }

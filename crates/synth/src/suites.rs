@@ -8,20 +8,19 @@
 //! candidate. Found tests carry their position in the sequential
 //! enumeration order, so the Forbid suite comes out in the exact order
 //! the sequential pipeline would produce after a final sort of the
-//! (tiny) result set.
+//! (tiny) result set. With one worker the sweep is the sequential
+//! reference ([`synthesise_seq`]).
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-use txmm_core::incr::PruneStats;
+use txmm_core::canon::canon_key;
 use txmm_core::Execution;
 use txmm_models::Model;
 
-use crate::canon::canon_key;
-use crate::consistent::{oracle_for, visit_pruned_par};
-use crate::enumerate::{enumerate, CandSeq, EnumConfig};
-use crate::par::worker_count;
+use crate::enumerate::{walk, CandSeq, EnumConfig};
+use crate::steal::worker_count;
 use crate::weaken::weakenings;
 
 /// One synthesised test with its discovery time (for Fig. 7).
@@ -64,9 +63,8 @@ pub fn synthesise(
     synthesise_streamed(cfg, tm, base, budget, worker_count())
 }
 
-/// The streamed work-stealing implementation behind [`synthesise`],
-/// with the worker count explicit so tests can exercise the
-/// split-and-merge logic deterministically regardless of core count.
+/// [`synthesise`] with the worker count explicit, so tests can exercise
+/// the split-and-merge logic deterministically regardless of core count.
 pub fn synthesise_streamed(
     cfg: &EnumConfig,
     tm: &dyn Model,
@@ -77,10 +75,9 @@ pub fn synthesise_streamed(
     synthesise_streamed_progress(cfg, tm, base, budget, workers, None)
 }
 
-/// [`synthesise_streamed`] with optional live progress: candidates
-/// examined and Forbid tests found (as "classes kept") flush into
-/// `progress` as the walk runs. With `None` the sweep is identical to
-/// [`synthesise_streamed`].
+/// The synthesis sweep behind every entry point: [`synthesise_streamed`]
+/// with optional live progress. Candidates examined and Forbid tests
+/// found (as "classes kept") flush into `progress` as the walk runs.
 pub fn synthesise_streamed_progress(
     cfg: &EnumConfig,
     tm: &dyn Model,
@@ -93,9 +90,10 @@ pub fn synthesise_streamed_progress(
     let candidates = AtomicUsize::new(0);
     let overrun = AtomicBool::new(false);
 
-    let (states, _) = crate::enumerate::visit_par_progress(
+    let (states, _, _) = walk(
         cfg,
-        workers.max(1),
+        None,
+        workers,
         progress,
         |_| Vec::new(),
         |seq, x, found: &mut Vec<(CandSeq, FoundTest)>| {
@@ -145,6 +143,16 @@ pub fn synthesise_streamed_progress(
     }
 }
 
+/// The sequential reference: [`synthesise_streamed`] on one worker.
+pub fn synthesise_seq(
+    cfg: &EnumConfig,
+    tm: &dyn Model,
+    base: &dyn Model,
+    budget: Option<Duration>,
+) -> SuiteResult {
+    synthesise_streamed(cfg, tm, base, budget, 1)
+}
+
 /// Is `x` a Forbid test (conditions (a)–(d) above)? Returns the
 /// execution to record.
 fn forbid_test(
@@ -165,124 +173,6 @@ fn forbid_test(
     // Minimality: every one-step weakening is consistent.
     let minimal = weakenings(x, cfg.arch).iter().all(|w| tm.consistent(w));
     minimal.then(|| x.clone())
-}
-
-/// [`synthesise`] over the consistency-pruned stream: the *baseline*
-/// model's transaction-agnostic prune oracle cuts rf/co subtrees no
-/// completion can rescue. Sound for Forbid search because condition
-/// (c) requires the transaction-erased candidate to be baseline-
-/// consistent — a candidate whose partial communication relations
-/// already violate the baseline's monotone core fails (c) under every
-/// transaction layout. Returns the suite together with the prune
-/// counters; `candidates` counts the *surviving* candidates examined.
-pub fn synthesise_pruned(
-    cfg: &EnumConfig,
-    tm: &dyn Model,
-    base: &dyn Model,
-    budget: Option<Duration>,
-) -> (SuiteResult, PruneStats) {
-    let start = Instant::now();
-    let candidates = AtomicUsize::new(0);
-    let overrun = AtomicBool::new(false);
-
-    let oracle = oracle_for(base, false);
-    let (states, prune, _) = visit_pruned_par(
-        cfg,
-        oracle,
-        worker_count(),
-        |_| Vec::new(),
-        |seq, x, found: &mut Vec<(CandSeq, FoundTest)>| {
-            candidates.fetch_add(1, Ordering::Relaxed);
-            if let Some(b) = budget {
-                if overrun.load(Ordering::Relaxed) || start.elapsed() > b {
-                    overrun.store(true, Ordering::Relaxed);
-                    return;
-                }
-            }
-            if let Some(f) = forbid_test(cfg, tm, base, x) {
-                found.push((
-                    seq,
-                    FoundTest {
-                        exec: f,
-                        at: start.elapsed(),
-                    },
-                ));
-            }
-        },
-    );
-    let mut stamped: Vec<(CandSeq, FoundTest)> = states.into_iter().flatten().collect();
-    stamped.sort_by_key(|(seq, _)| *seq);
-    let forbid: Vec<FoundTest> = stamped.into_iter().map(|(_, f)| f).collect();
-    let complete = !overrun.load(Ordering::Relaxed);
-
-    let mut allow = Vec::new();
-    let mut seen = HashSet::new();
-    for f in &forbid {
-        for w in weakenings(&f.exec, cfg.arch) {
-            if tm.consistent(&w) && seen.insert(canon_key(&w)) {
-                allow.push(w);
-            }
-        }
-    }
-
-    (
-        SuiteResult {
-            forbid,
-            allow,
-            complete,
-            candidates: candidates.into_inner(),
-            elapsed: start.elapsed(),
-        },
-        prune,
-    )
-}
-
-/// The sequential reference implementation of [`synthesise`]; kept for
-/// differential tests and the parallel-speedup benchmark.
-pub fn synthesise_seq(
-    cfg: &EnumConfig,
-    tm: &dyn Model,
-    base: &dyn Model,
-    budget: Option<Duration>,
-) -> SuiteResult {
-    let start = Instant::now();
-    let mut forbid = Vec::new();
-    let mut candidates = 0usize;
-    let mut complete = true;
-
-    enumerate(cfg, &mut |x| {
-        candidates += 1;
-        if let Some(b) = budget {
-            if start.elapsed() > b {
-                complete = false;
-                return;
-            }
-        }
-        if let Some(f) = forbid_test(cfg, tm, base, x) {
-            forbid.push(FoundTest {
-                exec: f,
-                at: start.elapsed(),
-            });
-        }
-    });
-
-    let mut allow = Vec::new();
-    let mut seen = HashSet::new();
-    for f in &forbid {
-        for w in weakenings(&f.exec, cfg.arch) {
-            if tm.consistent(&w) && seen.insert(canon_key(&w)) {
-                allow.push(w);
-            }
-        }
-    }
-
-    SuiteResult {
-        forbid,
-        allow,
-        complete,
-        candidates,
-        elapsed: start.elapsed(),
-    }
 }
 
 /// Count how many transactions each Forbid test has (the paper reports
@@ -402,26 +292,6 @@ mod tests {
         );
         let allow_keys = |r: &SuiteResult| r.allow.iter().map(canon_key).collect::<Vec<_>>();
         assert_eq!(allow_keys(&par), allow_keys(&seq));
-    }
-
-    #[test]
-    fn pruned_synthesis_matches_plain() {
-        let cfg = x86_cfg(3);
-        let plain = synthesise(&cfg, &X86::tm(), &X86::base(), None);
-        let (pruned, st) = synthesise_pruned(&cfg, &X86::tm(), &X86::base(), None);
-        assert!(pruned.complete);
-        let keys = |r: &SuiteResult| {
-            r.forbid
-                .iter()
-                .map(|f| canon_key(&f.exec))
-                .collect::<HashSet<_>>()
-        };
-        assert_eq!(keys(&plain), keys(&pruned), "same Forbid tests");
-        let allow_keys = |r: &SuiteResult| r.allow.iter().map(canon_key).collect::<HashSet<_>>();
-        assert_eq!(allow_keys(&plain), allow_keys(&pruned));
-        // The oracle must have cut real work.
-        assert!(st.subtrees_cut > 0);
-        assert!(pruned.candidates < plain.candidates);
     }
 
     #[test]

@@ -534,6 +534,45 @@ fn client_round_trip(addr: &str, request: &Request) -> Result<usize, String> {
 /// execution per test and printing the per-model allowed-outcome table,
 /// one JSONL line per test (byte-identical to the daemon's `outcomes`
 /// answers over the same tests).
+/// The inputs `txmm serve` and `txmm outcomes` share: register every
+/// `--cat` file on `session`, resolve the `--model` filter (`None` =
+/// every model), and expand directories in `paths` into their
+/// `.litmus` files. Errors are the message after `error: `.
+fn load_inputs(
+    session: &mut Session,
+    args: &[String],
+    paths: Vec<PathBuf>,
+) -> Result<(Option<Vec<ModelRef>>, Vec<PathBuf>), String> {
+    for path in flag_values(args, "--cat") {
+        session.register_cat_file(&PathBuf::from(path))?;
+    }
+    let model_names = flag_values(args, "--model");
+    let filter = if model_names.is_empty() {
+        None
+    } else {
+        let mut ms = Vec::new();
+        for name in model_names {
+            let m = session.resolve(name);
+            ms.push(m.ok_or_else(|| format!("unknown model {name} (try `txmm models`)"))?);
+        }
+        Some(ms)
+    };
+    let mut files: Vec<PathBuf> = Vec::new();
+    for p in paths {
+        if p.is_dir() {
+            let fs = collect_litmus_files(&p)
+                .map_err(|e| format!("cannot read {}: {e}", p.display()))?;
+            files.extend(fs);
+        } else {
+            files.push(p);
+        }
+    }
+    if files.is_empty() {
+        return Err("no .litmus files found".into());
+    }
+    Ok((filter, files))
+}
+
 fn cmd_outcomes(args: &[String]) -> ExitCode {
     use txmm::serve::{outcomes_jsonl_line, serve_outcomes_file, ServedOutcomes};
 
@@ -568,47 +607,13 @@ fn cmd_outcomes(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     }
-    for path in flag_values(args, "--cat") {
-        if let Err(e) = session.register_cat_file(&PathBuf::from(path)) {
+    let (filter, files) = match load_inputs(&mut session, args, paths) {
+        Ok(inputs) => inputs,
+        Err(e) => {
             eprintln!("error: {e}");
             return ExitCode::FAILURE;
         }
-    }
-    let model_names = flag_values(args, "--model");
-    let filter: Option<Vec<ModelRef>> = if model_names.is_empty() {
-        None
-    } else {
-        let mut ms = Vec::new();
-        for name in model_names {
-            match session.resolve(name) {
-                Some(m) => ms.push(m),
-                None => {
-                    eprintln!("error: unknown model {name} (try `txmm models`)");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-        Some(ms)
     };
-
-    let mut files: Vec<PathBuf> = Vec::new();
-    for p in paths {
-        if p.is_dir() {
-            match collect_litmus_files(&p) {
-                Ok(fs) => files.extend(fs),
-                Err(e) => {
-                    eprintln!("error: cannot read {}: {e}", p.display());
-                    return ExitCode::FAILURE;
-                }
-            }
-        } else {
-            files.push(p);
-        }
-    }
-    if files.is_empty() {
-        eprintln!("error: no .litmus files found");
-        return ExitCode::FAILURE;
-    }
 
     let telemetry = match parse_telemetry(args) {
         Ok(t) => t,
@@ -700,48 +705,13 @@ fn cmd_serve(args: &[String]) -> ExitCode {
     } else {
         Session::new()
     };
-    for path in flag_values(args, "--cat") {
-        if let Err(e) = session.register_cat_file(&PathBuf::from(path)) {
+    let (filter, files) = match load_inputs(&mut session, args, paths) {
+        Ok(inputs) => inputs,
+        Err(e) => {
             eprintln!("error: {e}");
             return ExitCode::FAILURE;
         }
-    }
-    let model_names = flag_values(args, "--model");
-    let filter: Option<Vec<ModelRef>> = if model_names.is_empty() {
-        None
-    } else {
-        let mut ms = Vec::new();
-        for name in model_names {
-            match session.resolve(name) {
-                Some(m) => ms.push(m),
-                None => {
-                    eprintln!("error: unknown model {name} (try `txmm models`)");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-        Some(ms)
     };
-
-    // Expand directories into their .litmus files.
-    let mut files: Vec<PathBuf> = Vec::new();
-    for p in paths {
-        if p.is_dir() {
-            match collect_litmus_files(&p) {
-                Ok(fs) => files.extend(fs),
-                Err(e) => {
-                    eprintln!("error: cannot read {}: {e}", p.display());
-                    return ExitCode::FAILURE;
-                }
-            }
-        } else {
-            files.push(p);
-        }
-    }
-    if files.is_empty() {
-        eprintln!("error: no .litmus files found");
-        return ExitCode::FAILURE;
-    }
 
     let mut failures = 0usize;
     // Each pass times ONLY the serving work (parse, convert, check,

@@ -190,7 +190,7 @@ fn pruned_candidates_par(
     let dead = DeadMasks::new(256);
     let monotone = oracle.event_monotone();
     let masks = (0..splits).rev().map(|m| m as u64);
-    let (states, _steal) = txmm_synth::steal::run_with_progress(
+    let (states, _steal) = txmm_synth::run_with(
         masks,
         workers,
         progress,
@@ -558,9 +558,10 @@ impl Session {
             } else {
                 1
             };
-            let (states, _stats) = txmm_synth::steal::run_with(
+            let (states, _stats) = txmm_synth::run_with(
                 jobs.into_iter(),
                 workers,
+                None,
                 |_| Vec::new(),
                 |(id, x), out: &mut Vec<(txmm_core::arena::ExecId, txmm_models::Verdict)>| {
                     out.push((id, model.check_analysis(&x.analysis())));

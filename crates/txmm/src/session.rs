@@ -44,7 +44,7 @@ use txmm_core::{Execution, ExecutionAnalysis};
 use txmm_hwsim::{ArmSim, PowerSim, Simulator, TsoSim};
 use txmm_litmus::litmus_from_execution;
 use txmm_models::{registry, Arch, Checker, Derived, Model, Verdict};
-use txmm_synth::{canon_key, EnumConfig, SuiteResult};
+use txmm_synth::{canon_key, worker_count, EnumConfig, SuiteResult};
 use txmm_verify::{CompileResult, ElisionResult, ElisionTarget, MonotonicityResult, TheoremResult};
 
 /// Handle of a registered model within one [`Session`].
@@ -727,8 +727,8 @@ impl Session {
     // The bounded enumerate-and-check pipelines, exposed here so driver
     // binaries configure one Session rather than wiring synth/verify by
     // hand. Sweeps stream fresh candidates (every execution distinct),
-    // so they bypass the verdict cache by design and parallelise over
-    // thread-shape shards internally.
+    // so they bypass the verdict cache by design, and run on every core
+    // through the work-stealing walk.
 
     /// Forbid/Allow conformance-suite synthesis (Table 1, Fig. 7).
     pub fn synthesise(
@@ -743,7 +743,7 @@ impl Session {
             self.model(tm),
             self.model(base),
             budget,
-            txmm_synth::par::worker_count(),
+            worker_count(),
             self.walk_progress.as_deref(),
         )
     }
@@ -756,7 +756,7 @@ impl Session {
         n: ModelRef,
         limit: Option<usize>,
     ) -> Vec<Execution> {
-        txmm_synth::distinguish(cfg, self.model(m), self.model(n), limit)
+        txmm_synth::distinguish(cfg, self.model(m), self.model(n), limit, worker_count())
     }
 
     /// Bounded monotonicity check (§8.1).
@@ -766,7 +766,7 @@ impl Session {
         m: ModelRef,
         budget: Option<Duration>,
     ) -> MonotonicityResult {
-        txmm_verify::check_monotonicity(cfg, self.model(m), budget)
+        txmm_verify::check_monotonicity(cfg, self.model(m), budget, worker_count())
     }
 
     /// Bounded C++-to-hardware compilation soundness (§8.2).
@@ -776,7 +776,7 @@ impl Session {
         target: Arch,
         budget: Option<Duration>,
     ) -> CompileResult {
-        txmm_verify::check_compilation(events, target, budget)
+        txmm_verify::check_compilation(events, target, budget, worker_count())
     }
 
     /// Bounded lock-elision soundness (§8.3).
@@ -790,12 +790,12 @@ impl Session {
 
     /// Bounded validation of Theorem 7.2.
     pub fn check_theorem_7_2(&self, events: usize, budget: Option<Duration>) -> TheoremResult {
-        txmm_verify::check_theorem_7_2(events, budget)
+        txmm_verify::check_theorem_7_2(events, budget, worker_count())
     }
 
     /// Bounded validation of Theorem 7.3.
     pub fn check_theorem_7_3(&self, events: usize, budget: Option<Duration>) -> TheoremResult {
-        txmm_verify::check_theorem_7_3(events, budget)
+        txmm_verify::check_theorem_7_3(events, budget, worker_count())
     }
 }
 

@@ -8,14 +8,13 @@
 //! Soundness is checked by bounded search for a pair `(X, Y)` with `X`
 //! C++-inconsistent (and race-free), `Y = map(X)` target-consistent.
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use txmm_core::{Attrs, Event, EventKind, Execution, Fence, Rel, TxnClass};
 use txmm_models::{Arch, Cpp, Model};
-use txmm_synth::enumerate::{visit_par, CandSeq};
-use txmm_synth::par::worker_count;
-use txmm_synth::{enumerate, EnumConfig};
+use txmm_synth::EnumConfig;
+
+use crate::sweep::sweep;
 
 /// Emit the target instruction sequence for one C++ event.
 ///
@@ -249,108 +248,46 @@ fn compile_target(target: Arch) -> Box<dyn Model> {
     }
 }
 
-/// Does mapping `x` to the target expose an unsound compilation? The
-/// candidate counts (`checked`) only when the hypotheses hold.
+/// Does mapping `x` to the target expose an unsound compilation?
+/// `None` when `x` fails the hypotheses (C++-inconsistent and
+/// race-free), else the counterexample pair if the mapped execution is
+/// target-consistent.
 fn compile_violation(
     cpp: &Cpp,
     tgt: &dyn Model,
     target: Arch,
     x: &Execution,
-    checked: &mut usize,
-) -> Option<(Execution, Execution)> {
+) -> Option<Option<(Execution, Execution)>> {
     let a = x.analysis();
     if cpp.consistent_analysis(&a) || cpp.racy_analysis(&a) {
         return None;
     }
-    *checked += 1;
     let y = map_execution(x, target);
     debug_assert!(y.check_wf().is_ok());
-    if tgt.consistent(&y) {
-        Some((x.clone(), y))
-    } else {
-        None
-    }
+    Some(tgt.consistent(&y).then(|| (x.clone(), y)))
 }
 
 /// Search for an unsound compilation: `X` inconsistent and race-free in
-/// C++, `map(X)` consistent on the target. Candidates stream across the
-/// work-stealing pool; a counterexample on any worker stops the others
-/// (the earliest in enumeration order is reported).
-pub fn check_compilation(events: usize, target: Arch, budget: Option<Duration>) -> CompileResult {
-    type Found = (CandSeq, (Execution, Execution));
-    let cfg = compile_cfg(events);
-    let cpp = Cpp::tm();
-    let tgt = compile_target(target);
-    let start = Instant::now();
-    let stop = AtomicBool::new(false);
-    let overrun = AtomicBool::new(false);
-    let checked_total = AtomicUsize::new(0);
-    let (states, _) = visit_par(
-        &cfg,
-        worker_count(),
-        |_| None::<Found>,
-        |seq, x, counterexample| {
-            if counterexample.is_some() || stop.load(Ordering::Relaxed) {
-                return;
-            }
-            if let Some(b) = budget {
-                if start.elapsed() > b {
-                    overrun.store(true, Ordering::Relaxed);
-                    stop.store(true, Ordering::Relaxed);
-                    return;
-                }
-            }
-            let mut checked = 0usize;
-            if let Some(pair) = compile_violation(&cpp, tgt.as_ref(), target, x, &mut checked) {
-                *counterexample = Some((seq, pair));
-                stop.store(true, Ordering::Relaxed);
-            }
-            checked_total.fetch_add(checked, Ordering::Relaxed);
-        },
-    );
-    let best = states
-        .into_iter()
-        .flatten()
-        .min_by_key(|(seq, _)| *seq)
-        .map(|(_, pair)| pair);
-    CompileResult {
-        counterexample: best,
-        checked: checked_total.into_inner(),
-        elapsed: start.elapsed(),
-        complete: !overrun.load(Ordering::Relaxed),
-    }
-}
-
-/// The sequential reference implementation of [`check_compilation`].
-pub fn check_compilation_seq(
+/// C++, `map(X)` consistent on the target, on `workers` threads
+/// (`workers = 1` is the sequential reference). A counterexample on any
+/// worker stops the others; the earliest in enumeration order is
+/// reported.
+pub fn check_compilation(
     events: usize,
     target: Arch,
     budget: Option<Duration>,
+    workers: usize,
 ) -> CompileResult {
-    let cfg = compile_cfg(events);
     let cpp = Cpp::tm();
     let tgt = compile_target(target);
-    let start = Instant::now();
-    let mut checked = 0usize;
-    let mut counterexample = None;
-    let mut complete = true;
-    enumerate(&cfg, &mut |x| {
-        if counterexample.is_some() {
-            return;
-        }
-        if let Some(b) = budget {
-            if start.elapsed() > b {
-                complete = false;
-                return;
-            }
-        }
-        counterexample = compile_violation(&cpp, tgt.as_ref(), target, x, &mut checked);
+    let r = sweep(&compile_cfg(events), budget, workers, |x| {
+        compile_violation(&cpp, tgt.as_ref(), target, x)
     });
     CompileResult {
-        counterexample,
-        checked,
-        elapsed: start.elapsed(),
-        complete,
+        counterexample: r.counterexample,
+        checked: r.checked,
+        elapsed: r.elapsed,
+        complete: r.complete,
     }
 }
 
@@ -442,7 +379,7 @@ mod tests {
     #[test]
     fn compilation_sound_small_bound() {
         for target in [Arch::X86, Arch::Armv8, Arch::Power] {
-            let r = check_compilation(3, target, None);
+            let r = check_compilation(3, target, None, txmm_synth::worker_count());
             assert!(
                 r.counterexample.is_none(),
                 "compilation to {target:?} must be sound (Table 2)"
@@ -453,8 +390,8 @@ mod tests {
 
     #[test]
     fn parallel_matches_sequential_reference() {
-        let par = check_compilation(3, Arch::X86, None);
-        let seq = check_compilation_seq(3, Arch::X86, None);
+        let par = check_compilation(3, Arch::X86, None, 3);
+        let seq = check_compilation(3, Arch::X86, None, 1);
         assert_eq!(par.checked, seq.checked);
         assert_eq!(par.complete, seq.complete);
         assert_eq!(par.counterexample.is_some(), seq.counterexample.is_some());

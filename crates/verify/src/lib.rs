@@ -22,14 +22,10 @@
 pub mod compile;
 pub mod elision;
 pub mod monotonic;
+mod sweep;
 pub mod theorems;
 
-pub use compile::{check_compilation, check_compilation_seq, map_execution, CompileResult};
+pub use compile::{check_compilation, map_execution, CompileResult};
 pub use elision::{check_lock_elision, expand, violates_cr_order, ElisionResult, ElisionTarget};
-pub use monotonic::{
-    check_monotonicity, check_monotonicity_seq, txn_extensions, MonotonicityResult,
-};
-pub use theorems::{
-    check_theorem_7_2, check_theorem_7_2_seq, check_theorem_7_3, check_theorem_7_3_seq,
-    check_tm_conservative, TheoremResult,
-};
+pub use monotonic::{check_monotonicity, txn_extensions, MonotonicityResult};
+pub use theorems::{check_theorem_7_2, check_theorem_7_3, check_tm_conservative, TheoremResult};

@@ -1,20 +1,18 @@
 //! Monotonicity checking (§8.1): introducing, enlarging or coalescing
 //! transactions must never make an inconsistent execution consistent.
 //!
-//! The bounded check consumes the streaming enumerator on the
-//! work-stealing pool (candidates checked on whichever worker
-//! enumerates them, so one big thread shape spreads across every
-//! core); a counterexample found anywhere stops the other workers
-//! early. The sequential version is kept as the differential reference.
+//! The bounded check runs on the shared `sweep` helper: candidates
+//! are checked on whichever worker enumerates them, so one big thread
+//! shape spreads across every core, and a counterexample found anywhere
+//! stops the other workers early.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use txmm_core::{Execution, TxnClass};
 use txmm_models::Model;
-use txmm_synth::enumerate::{visit_par, CandSeq};
-use txmm_synth::par::worker_count;
-use txmm_synth::{enumerate, EnumConfig};
+use txmm_synth::EnumConfig;
+
+use crate::sweep::sweep;
 
 /// The outcome of a bounded monotonicity check.
 pub struct MonotonicityResult {
@@ -111,90 +109,25 @@ fn violation_at(model: &dyn Model, x: &Execution) -> Option<(Execution, Executio
 }
 
 /// Bounded monotonicity check for one model at one event count, run on
-/// the work-stealing candidate stream across every core.
+/// `workers` threads (`workers = 1` is the sequential reference).
 ///
 /// A counterexample on any worker stops the others at their next
-/// candidate, so `checked` can undercount relative to
-/// [`check_monotonicity_seq`] once a violation exists; on violation-free
-/// (and unbudgeted) runs the two agree exactly. When several workers
-/// find violations, the earliest in enumeration order is reported.
+/// candidate, so `checked` can undercount relative to one worker once a
+/// violation exists; on violation-free (and unbudgeted) runs the counts
+/// agree exactly. When several workers find violations, the earliest in
+/// enumeration order is reported.
 pub fn check_monotonicity(
     cfg: &EnumConfig,
     model: &dyn Model,
     budget: Option<Duration>,
+    workers: usize,
 ) -> MonotonicityResult {
-    type Found = (CandSeq, (Execution, Execution));
-    let start = Instant::now();
-    let stop = AtomicBool::new(false);
-    let overrun = AtomicBool::new(false);
-    let (states, _) = visit_par(
-        cfg,
-        worker_count(),
-        |_| (0usize, None::<Found>),
-        |seq, x, (checked, counterexample)| {
-            if counterexample.is_some() || stop.load(Ordering::Relaxed) {
-                return;
-            }
-            if let Some(b) = budget {
-                if start.elapsed() > b {
-                    overrun.store(true, Ordering::Relaxed);
-                    stop.store(true, Ordering::Relaxed);
-                    return;
-                }
-            }
-            *checked += 1;
-            if let Some(pair) = violation_at(model, x) {
-                *counterexample = Some((seq, pair));
-                stop.store(true, Ordering::Relaxed);
-            }
-        },
-    );
-    let mut checked = 0usize;
-    let mut best: Option<Found> = None;
-    for (c, cex) in states {
-        checked += c;
-        if let Some((seq, pair)) = cex {
-            if best.as_ref().is_none_or(|(s, _)| seq < *s) {
-                best = Some((seq, pair));
-            }
-        }
-    }
+    let r = sweep(cfg, budget, workers, |x| Some(violation_at(model, x)));
     MonotonicityResult {
-        counterexample: best.map(|(_, pair)| pair),
-        checked,
-        elapsed: start.elapsed(),
-        complete: !overrun.load(Ordering::Relaxed),
-    }
-}
-
-/// The sequential reference implementation of [`check_monotonicity`].
-pub fn check_monotonicity_seq(
-    cfg: &EnumConfig,
-    model: &dyn Model,
-    budget: Option<Duration>,
-) -> MonotonicityResult {
-    let start = Instant::now();
-    let mut checked = 0usize;
-    let mut counterexample = None;
-    let mut complete = true;
-    enumerate(cfg, &mut |x| {
-        if counterexample.is_some() {
-            return;
-        }
-        if let Some(b) = budget {
-            if start.elapsed() > b {
-                complete = false;
-                return;
-            }
-        }
-        checked += 1;
-        counterexample = violation_at(model, x);
-    });
-    MonotonicityResult {
-        counterexample,
-        checked,
-        elapsed: start.elapsed(),
-        complete,
+        counterexample: r.counterexample,
+        checked: r.checked,
+        elapsed: r.elapsed,
+        complete: r.complete,
     }
 }
 
@@ -203,6 +136,7 @@ mod tests {
     use super::*;
     use txmm_core::ExecBuilder;
     use txmm_models::{Arch, Armv8, Power, X86};
+    use txmm_synth::worker_count;
 
     #[test]
     fn extensions_cover_intro_enlarge_coalesce() {
@@ -244,7 +178,7 @@ mod tests {
             attrs: false,
             atomic_txns: false,
         };
-        let r = check_monotonicity(&cfg, &Power::tm(), None);
+        let r = check_monotonicity(&cfg, &Power::tm(), None, worker_count());
         let (x, y) = r.counterexample.expect("paper finds a c'ex at |E| = 2");
         // The violation is TxnCancelsRMW: an rmw straddling a
         // transaction boundary, cured by growing/merging the txn.
@@ -271,7 +205,7 @@ mod tests {
             attrs: false,
             atomic_txns: false,
         };
-        let r = check_monotonicity(&cfg, &Armv8::tm(), None);
+        let r = check_monotonicity(&cfg, &Armv8::tm(), None, worker_count());
         assert!(r.counterexample.is_some());
     }
 
@@ -291,8 +225,8 @@ mod tests {
             attrs: false,
             atomic_txns: false,
         };
-        let par = check_monotonicity(&cfg, &X86::tm(), None);
-        let seq = check_monotonicity_seq(&cfg, &X86::tm(), None);
+        let par = check_monotonicity(&cfg, &X86::tm(), None, 3);
+        let seq = check_monotonicity(&cfg, &X86::tm(), None, 1);
         assert_eq!(par.checked, seq.checked);
         assert_eq!(par.complete, seq.complete);
         assert!(par.counterexample.is_none() && seq.counterexample.is_none());
@@ -309,10 +243,10 @@ mod tests {
             attrs: false,
             atomic_txns: false,
         };
-        assert!(check_monotonicity(&cfg, &Power::tm(), None)
+        assert!(check_monotonicity(&cfg, &Power::tm(), None, 3)
             .counterexample
             .is_some());
-        assert!(check_monotonicity_seq(&cfg, &Power::tm(), None)
+        assert!(check_monotonicity(&cfg, &Power::tm(), None, 1)
             .counterexample
             .is_some());
     }
@@ -333,7 +267,7 @@ mod tests {
             attrs: false,
             atomic_txns: false,
         };
-        let r = check_monotonicity(&cfg, &X86::tm(), None);
+        let r = check_monotonicity(&cfg, &X86::tm(), None, worker_count());
         assert!(r.counterexample.is_none(), "x86 TM is monotone");
         assert!(r.complete);
         assert!(r.checked > 0);

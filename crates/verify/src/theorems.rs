@@ -4,19 +4,17 @@
 //! to a bound (the same regime Memalloy uses for Table 2) and leave
 //! random deeper exploration to the proptest suites.
 //!
-//! Every sweep consumes the streaming enumerator on the work-stealing
-//! pool (candidates checked on whichever worker enumerates them); a
-//! counterexample on any worker stops the others. Sequential references
-//! are kept for differential testing.
+//! Every check runs on the shared `sweep` helper (candidates checked
+//! on whichever worker enumerates them); a counterexample on any worker
+//! stops the others, and `workers = 1` is the sequential reference.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use txmm_core::{Execution, ExecutionAnalysis};
 use txmm_models::{Arch, Cpp, Model, Tsc};
-use txmm_synth::enumerate::{visit_par, CandSeq};
-use txmm_synth::par::worker_count;
-use txmm_synth::{enumerate, EnumConfig};
+use txmm_synth::{worker_count, EnumConfig};
+
+use crate::sweep::sweep;
 
 /// The outcome of a bounded theorem check.
 pub struct TheoremResult {
@@ -43,96 +41,24 @@ fn cpp_cfg(events: usize) -> EnumConfig {
     }
 }
 
-/// Run one theorem's per-candidate predicate over the work-stealing
-/// candidate stream.
+/// Run one theorem's per-candidate predicate on `workers` threads.
 ///
 /// `test` returns `None` when the hypotheses fail, `Some(false)` for a
 /// checked candidate that satisfies the conclusion, and `Some(true)`
-/// for a counterexample. When several workers find counterexamples, the
-/// earliest in enumeration order is reported.
-fn sharded_sweep(
+/// for a counterexample.
+fn theorem_sweep(
     cfg: &EnumConfig,
     budget: Option<Duration>,
+    workers: usize,
     test: impl Fn(&Execution, &ExecutionAnalysis<'_>) -> Option<bool> + Sync,
 ) -> TheoremResult {
-    type Found = (CandSeq, Execution);
-    let start = Instant::now();
-    let stop = AtomicBool::new(false);
-    let (states, _) = visit_par(
-        cfg,
-        worker_count(),
-        |_| (0usize, None::<Found>),
-        |seq, x, (checked, counterexample)| {
-            if counterexample.is_some() || stop.load(Ordering::Relaxed) {
-                return;
-            }
-            if let Some(b) = budget {
-                if start.elapsed() > b {
-                    stop.store(true, Ordering::Relaxed);
-                    return;
-                }
-            }
-            let a = x.analysis();
-            match test(x, &a) {
-                None => {}
-                Some(false) => *checked += 1,
-                Some(true) => {
-                    *checked += 1;
-                    *counterexample = Some((seq, x.clone()));
-                    stop.store(true, Ordering::Relaxed);
-                }
-            }
-        },
-    );
-    let mut checked = 0usize;
-    let mut best: Option<Found> = None;
-    for (c, cex) in states {
-        checked += c;
-        if let Some((seq, x)) = cex {
-            if best.as_ref().is_none_or(|(s, _)| seq < *s) {
-                best = Some((seq, x));
-            }
-        }
-    }
-    TheoremResult {
-        counterexample: best.map(|(_, x)| x),
-        checked,
-        elapsed: start.elapsed(),
-    }
-}
-
-/// The sequential counterpart of [`sharded_sweep`].
-fn sequential_sweep(
-    cfg: &EnumConfig,
-    budget: Option<Duration>,
-    mut test: impl FnMut(&Execution, &ExecutionAnalysis<'_>) -> Option<bool>,
-) -> TheoremResult {
-    let start = Instant::now();
-    let mut checked = 0usize;
-    let mut counterexample = None;
-    enumerate(cfg, &mut |x| {
-        if counterexample.is_some() {
-            return;
-        }
-        if let Some(b) = budget {
-            if start.elapsed() > b {
-                return;
-            }
-        }
-        let a = x.analysis();
-        match test(x, &a) {
-            None => {}
-            Some(false) => checked += 1,
-            Some(true) => {
-                checked += 1;
-                counterexample = Some(x.clone());
-            }
-        }
+    let r = sweep(cfg, budget, workers, |x| {
+        test(x, &x.analysis()).map(|bad| bad.then(|| x.clone()))
     });
     TheoremResult {
-        counterexample,
-        checked,
-        elapsed: start.elapsed(),
+        counterexample: r.counterexample,
+        checked: r.checked,
+        elapsed: r.elapsed,
     }
 }
 
@@ -150,15 +76,11 @@ fn theorem_7_2_test(m: &Cpp, x: &Execution, a: &ExecutionAnalysis<'_>) -> Option
 /// Theorem 7.2: in race-free C++ executions whose atomic transactions
 /// contain no atomic operations, atomic transactions are strongly
 /// isolated: `acyclic(stronglift(com, stxnat))`.
-pub fn check_theorem_7_2(events: usize, budget: Option<Duration>) -> TheoremResult {
+pub fn check_theorem_7_2(events: usize, budget: Option<Duration>, workers: usize) -> TheoremResult {
     let m = Cpp::tm();
-    sharded_sweep(&cpp_cfg(events), budget, |x, a| theorem_7_2_test(&m, x, a))
-}
-
-/// The sequential reference implementation of [`check_theorem_7_2`].
-pub fn check_theorem_7_2_seq(events: usize, budget: Option<Duration>) -> TheoremResult {
-    let m = Cpp::tm();
-    sequential_sweep(&cpp_cfg(events), budget, |x, a| theorem_7_2_test(&m, x, a))
+    theorem_sweep(&cpp_cfg(events), budget, workers, |x, a| {
+        theorem_7_2_test(&m, x, a)
+    })
 }
 
 /// Theorem 7.3's per-candidate predicate.
@@ -183,15 +105,11 @@ fn theorem_7_3_test(m: &Cpp, x: &Execution, a: &ExecutionAnalysis<'_>) -> Option
 /// Theorem 7.3 (transactional SC-DRF): a consistent C++ execution with
 /// no relaxed transactions, no non-SC atomics and no races is consistent
 /// under TSC.
-pub fn check_theorem_7_3(events: usize, budget: Option<Duration>) -> TheoremResult {
+pub fn check_theorem_7_3(events: usize, budget: Option<Duration>, workers: usize) -> TheoremResult {
     let m = Cpp::tm();
-    sharded_sweep(&cpp_cfg(events), budget, |x, a| theorem_7_3_test(&m, x, a))
-}
-
-/// The sequential reference implementation of [`check_theorem_7_3`].
-pub fn check_theorem_7_3_seq(events: usize, budget: Option<Duration>) -> TheoremResult {
-    let m = Cpp::tm();
-    sequential_sweep(&cpp_cfg(events), budget, |x, a| theorem_7_3_test(&m, x, a))
+    theorem_sweep(&cpp_cfg(events), budget, workers, |x, a| {
+        theorem_7_3_test(&m, x, a)
+    })
 }
 
 /// The baseline sanity statement of §8: TM models agree with their
@@ -199,7 +117,7 @@ pub fn check_theorem_7_3_seq(events: usize, budget: Option<Duration>) -> Theorem
 pub fn check_tm_conservative(cfg: &EnumConfig, tm: &dyn Model, base: &dyn Model) -> TheoremResult {
     let mut cfg = cfg.clone();
     cfg.txns = false;
-    sharded_sweep(&cfg, None, |_, a| {
+    theorem_sweep(&cfg, None, worker_count(), |_, a| {
         Some(tm.consistent_analysis(a) != base.consistent_analysis(a))
     })
 }
@@ -211,26 +129,26 @@ mod tests {
 
     #[test]
     fn theorem_7_2_holds_to_three_events() {
-        let r = check_theorem_7_2(3, None);
+        let r = check_theorem_7_2(3, None, worker_count());
         assert!(r.counterexample.is_none(), "Theorem 7.2 must hold");
         assert!(r.checked > 0, "hypotheses must be satisfiable");
     }
 
     #[test]
     fn theorem_7_3_holds_to_three_events() {
-        let r = check_theorem_7_3(3, None);
+        let r = check_theorem_7_3(3, None, worker_count());
         assert!(r.counterexample.is_none(), "Theorem 7.3 must hold");
         assert!(r.checked > 0);
     }
 
     #[test]
     fn parallel_matches_sequential_reference() {
-        let par = check_theorem_7_2(3, None);
-        let seq = check_theorem_7_2_seq(3, None);
+        let par = check_theorem_7_2(3, None, 3);
+        let seq = check_theorem_7_2(3, None, 1);
         assert_eq!(par.checked, seq.checked);
         assert_eq!(par.counterexample, seq.counterexample);
-        let par = check_theorem_7_3(3, None);
-        let seq = check_theorem_7_3_seq(3, None);
+        let par = check_theorem_7_3(3, None, 3);
+        let seq = check_theorem_7_3(3, None, 1);
         assert_eq!(par.checked, seq.checked);
         assert_eq!(par.counterexample, seq.counterexample);
     }

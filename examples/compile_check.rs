@@ -46,7 +46,7 @@ fn main() {
     // race-free execution maps to a target-consistent one.
     println!("== bounded compilation-soundness check (|E| = 3) ==");
     for target in [Arch::X86, Arch::Power, Arch::Armv8] {
-        let r = check_compilation(3, target, None);
+        let r = check_compilation(3, target, None, txmm::synth::worker_count());
         println!(
             "  C++ -> {:<6}  {} race-free forbidden executions checked in {:.2}s: {}",
             target.name(),

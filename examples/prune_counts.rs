@@ -15,7 +15,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use txmm::models::{Arch, Armv8, Model, Power, X86};
 use txmm::obs::{serve_metrics, ProgressSink, Reporter, WalkProgress};
-use txmm::synth::{count_consistent_par_progress, par::worker_count, EnumConfig};
+use txmm::synth::{count_consistent_par_progress, visit_pruned_par, worker_count, EnumConfig};
 
 /// Telemetry requested on the command line: progress accumulator plus
 /// the heartbeat/sidecar it feeds (`None` fields when not asked for).
@@ -84,64 +84,79 @@ fn run(tele: Option<&Telemetry>, name: &str, arch: Arch, model: &dyn Model, even
     );
 }
 
+/// Phase split of the single-threaded x86 |E| = 5 pruned walk.
 fn profile_phases() {
-    use txmm::models::Sc;
-    use txmm::synth::{enumerate_pruned, oracle_for};
+    use txmm::synth::{oracle_for, LeafChecker};
     let cfg = EnumConfig::hw(Arch::X86, 5);
     let model = X86::tm();
     let oracle = oracle_for(&model, false);
 
     let t0 = Instant::now();
-    let mut visited = 0usize;
-    enumerate_pruned(&cfg, oracle, &mut |_| visited += 1);
+    let (visited, _, _) = visit_pruned_par(&cfg, oracle, 1, |_| 0usize, |_, _, n| *n += 1);
     println!(
-        "walk+clone+canon: {visited} visited in {:.2}s",
+        "walk+clone+canon: {} visited in {:.2}s",
+        visited[0],
         t0.elapsed().as_secs_f64()
     );
 
     let t0 = Instant::now();
-    let mut n = 0usize;
-    enumerate_pruned(&cfg, oracle, &mut |x| {
-        if model.consistent(x) {
-            n += 1;
-        }
-    });
+    let (n, _, _) = visit_pruned_par(
+        &cfg,
+        oracle,
+        1,
+        |_| 0usize,
+        |_, x, n| {
+            if model.consistent(x) {
+                *n += 1;
+            }
+        },
+    );
     println!(
-        "walk+check: {n} consistent in {:.2}s",
+        "walk+check: {} consistent in {:.2}s",
+        n[0],
         t0.elapsed().as_secs_f64()
     );
 
     let t0 = Instant::now();
-    let mut n = 0usize;
-    let mut check = txmm::synth::LeafChecker::new(&model);
-    enumerate_pruned(&cfg, oracle, &mut |x| {
-        if check.consistent(x) {
-            n += 1;
-        }
-    });
+    let (n, _, _) = visit_pruned_par(
+        &cfg,
+        oracle,
+        1,
+        |_| (0usize, LeafChecker::new(&model)),
+        |_, x, (n, check)| {
+            if check.consistent(x) {
+                *n += 1;
+            }
+        },
+    );
     println!(
-        "walk+shared-check: {n} consistent in {:.2}s",
+        "walk+shared-check: {} consistent in {:.2}s",
+        n[0].0,
         t0.elapsed().as_secs_f64()
     );
-    let _ = Sc;
 }
 
 fn microbench() {
     use txmm::core::TxnFreeBase;
-    use txmm::synth::{enumerate_pruned, oracle_for};
+    use txmm::synth::oracle_for;
     let cfg = EnumConfig::hw(Arch::X86, 5);
     let model = X86::tm();
     let oracle = oracle_for(&model, false);
 
     // Sample the survivor stream (every 60th, up to 30k candidates).
-    let mut samples: Vec<txmm::core::Execution> = Vec::new();
-    let mut seen = 0usize;
-    enumerate_pruned(&cfg, oracle, &mut |x| {
-        if seen.is_multiple_of(60) && samples.len() < 30_000 {
-            samples.push(x.clone());
-        }
-        seen += 1;
-    });
+    let (mut states, _, _) = visit_pruned_par(
+        &cfg,
+        oracle,
+        1,
+        |_| (0usize, Vec::new()),
+        |_, x, (seen, samples): &mut (usize, Vec<txmm::core::Execution>)| {
+            if seen.is_multiple_of(60) && samples.len() < 30_000 {
+                samples.push(x.clone());
+            }
+            *seen += 1;
+        },
+    );
+    let (seen, samples) = states.pop().expect("one worker");
     println!("sampled {} of {seen}", samples.len());
     let reps = 5;
 

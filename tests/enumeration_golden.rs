@@ -9,7 +9,7 @@
 //! the `#[ignore]`d heavyweight bounds.
 
 use txmm::models::{Arch, Armv8, Model, Power, X86};
-use txmm::synth::{count_consistent_par, count_par, EnumConfig};
+use txmm::synth::{count_consistent_par_progress, count_par, worker_count, EnumConfig};
 
 fn golden(arch: Arch, events: usize, expect: usize) {
     let got = count_par(&EnumConfig::hw(arch, events));
@@ -22,7 +22,8 @@ fn golden(arch: Arch, events: usize, expect: usize) {
 /// Golden *consistent*-class counts through the pruned walk: drops
 /// mean over-pruning, rises mean the oracle or the model weakened.
 fn golden_consistent(arch: Arch, model: &dyn Model, events: usize, expect: usize) {
-    let (got, _) = count_consistent_par(&EnumConfig::hw(arch, events), model);
+    let (got, _) =
+        count_consistent_par_progress(&EnumConfig::hw(arch, events), model, worker_count(), None);
     assert_eq!(
         got, expect,
         "{arch:?} |E|={events}: consistent class count drifted"
@@ -122,7 +123,8 @@ fn golden_consistent_full(arch: Arch, model: &dyn Model, events: usize, pinned: 
         eprintln!("{arch:?} |E|={events}: skipped (set PRUNE_BENCH_FULL=1 to run)");
         return;
     }
-    let (got, _) = count_consistent_par(&EnumConfig::hw(arch, events), model);
+    let (got, _) =
+        count_consistent_par_progress(&EnumConfig::hw(arch, events), model, worker_count(), None);
     match pinned {
         Some(expect) => assert_eq!(
             got, expect,

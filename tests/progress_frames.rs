@@ -14,7 +14,7 @@ use txmm::obs::{serve_metrics, ProgressSink, Reporter, WalkProgress};
 use txmm::protocol::{parse_json, Json};
 use txmm::serve::{outcomes_jsonl_line, ServedOutcomes};
 use txmm::session::Session;
-use txmm::synth::{count_consistent_par_progress, par::worker_count, EnumConfig};
+use txmm::synth::{count_consistent_par_progress, worker_count, EnumConfig};
 
 fn num(v: &Json, key: &str) -> f64 {
     match v.get(key) {

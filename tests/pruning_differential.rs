@@ -5,7 +5,7 @@
 //!
 //! Three layers are exercised:
 //!
-//! * **Structure enumeration** ([`enumerate_consistent`] vs
+//! * **Structure enumeration** (the pruned walk vs
 //!   [`enumerate`] + `model.consistent`): six model spaces at |E| = 3
 //!   in the regular suite, the cheap spaces at |E| = 4 behind
 //!   `#[ignore]` for the CI `prune-smoke` release job.
@@ -21,7 +21,9 @@ use std::collections::HashSet;
 
 use txmm::core::{canon_key, ExecutionAnalysis, PruneOracle};
 use txmm::models::{Arch, Armv8, Cpp, Model, Power, Sc, Tsc, X86};
-use txmm::synth::{enumerate, enumerate_consistent, EnumConfig};
+use txmm::synth::{
+    count_consistent_par_progress, enumerate, oracle_for, visit_pruned_par, EnumConfig, LeafChecker,
+};
 
 type Space = (&'static str, EnumConfig, Vec<Box<dyn Model>>);
 
@@ -73,12 +75,19 @@ fn spaces(events: usize) -> Vec<Space> {
 /// The pruned stream equals plain enumerate-then-filter, class for
 /// class, and the oracle was actually consulted along the way.
 fn assert_pruned_matches_filtered(name: &str, cfg: &EnumConfig, model: &dyn Model) {
-    let mut pruned_keys = HashSet::new();
-    let mut pruned = 0usize;
-    let st = enumerate_consistent(cfg, model, &mut |x| {
-        pruned += 1;
-        pruned_keys.insert(canon_key(x));
-    });
+    let (states, st, _) = visit_pruned_par(
+        cfg,
+        oracle_for(model, false),
+        1,
+        |_| (Vec::new(), LeafChecker::new(model)),
+        |_, x, (keys, check)| {
+            if check.consistent(x) {
+                keys.push(canon_key(x));
+            }
+        },
+    );
+    let pruned = states.iter().map(|(keys, _)| keys.len()).sum::<usize>();
+    let pruned_keys: HashSet<Vec<u8>> = states.into_iter().flat_map(|(keys, _)| keys).collect();
     assert_eq!(
         pruned,
         pruned_keys.len(),
@@ -199,8 +208,7 @@ fn assert_delta_matches_recompute(events: usize, skip_slow: bool) {
             continue;
         }
         for model in &models {
-            let mut classes = 0usize;
-            let st = enumerate_consistent(&cfg, model.as_ref(), &mut |_| classes += 1);
+            let (classes, st) = count_consistent_par_progress(&cfg, model.as_ref(), 1, None);
             assert!(classes > 0, "{name}: empty consistent space");
             if model.prune_oracle(false).is_some() {
                 assert!(
