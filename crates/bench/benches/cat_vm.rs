@@ -22,7 +22,7 @@
 use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use txmm::serve::{outcomes_jsonl_line, serve_outcomes_source};
+use txmm::serve::{serve, Kind};
 use txmm::session::Session;
 use txmm_cat::cat_model;
 use txmm_core::Execution;
@@ -129,7 +129,7 @@ fn headline_check_throughput() {
 fn outcomes_pass(session: &mut Session, corpus: &[(String, String)]) -> usize {
     let mut bytes = 0usize;
     for (file, src) in corpus {
-        bytes += outcomes_jsonl_line(&serve_outcomes_source(session, file, src, None)).len();
+        bytes += serve(session, Kind::Outcomes, file, src, None).line.len();
     }
     bytes
 }

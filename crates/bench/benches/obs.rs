@@ -14,6 +14,7 @@ use std::time::{Duration, Instant};
 use criterion::{criterion_group, criterion_main, Criterion};
 use txmm::daemon::{PoolConfig, SessionPool};
 use txmm::obs;
+use txmm::serve::Kind;
 
 fn corpus() -> Vec<(String, String)> {
     txmm::corpus::generate(3)
@@ -40,7 +41,8 @@ fn pass(pool: &SessionPool, corpus: &[(String, String)], traced: bool) -> Durati
     for (file, src) in corpus {
         if traced {
             let trace = obs::Trace::new("bench");
-            criterion::black_box(pool.check_traced(file, src, None, &trace));
+            let item = vec![(file.clone(), src.clone())];
+            criterion::black_box(pool.serve(Kind::Check, item, None, None, Some(&trace)));
         } else {
             criterion::black_box(pool.check(file, src, None));
         }

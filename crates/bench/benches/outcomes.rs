@@ -13,7 +13,7 @@
 use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use txmm::serve::{outcomes_jsonl_line, serve_outcomes_source};
+use txmm::serve::{serve, Kind};
 use txmm::session::Session;
 
 fn corpus() -> Vec<(String, String)> {
@@ -28,8 +28,7 @@ fn corpus() -> Vec<(String, String)> {
 fn pass(session: &mut Session, corpus: &[(String, String)]) -> usize {
     let mut bytes = 0usize;
     for (file, src) in corpus {
-        let served = serve_outcomes_source(session, file, src, None);
-        bytes += outcomes_jsonl_line(&served).len();
+        bytes += serve(session, Kind::Outcomes, file, src, None).line.len();
     }
     bytes
 }

@@ -12,7 +12,7 @@
 use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use txmm::serve::{outcomes_jsonl_line, serve_outcomes_source};
+use txmm::serve::{serve, Kind};
 use txmm::session::Session;
 use txmm_models::{Arch, Armv8, Model, Power, Sc, X86};
 use txmm_synth::{count_consistent_par_progress, walk, worker_count, EnumConfig};
@@ -124,8 +124,7 @@ fn corpus() -> Vec<(String, String)> {
 fn outcome_pass(session: &mut Session, corpus: &[(String, String)]) -> usize {
     let mut bytes = 0usize;
     for (file, src) in corpus {
-        let served = serve_outcomes_source(session, file, src, None);
-        bytes += outcomes_jsonl_line(&served).len();
+        bytes += serve(session, Kind::Outcomes, file, src, None).line.len();
     }
     bytes
 }

@@ -59,61 +59,66 @@
 use std::io::{BufRead, BufReader, Read, Write};
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::time::Instant;
+use std::str::FromStr;
 
 use txmm::daemon::{Daemon, ListenAddr, PoolConfig, SessionPool};
 use txmm::protocol::Request;
-use txmm::serve::{collect_litmus_files, jsonl_line, serve_file, Served};
-use txmm::session::{ModelRef, Session};
+use txmm::serve::{collect_litmus_files, serve_file, Kind};
+use txmm::session::{ModelRef, Session, SessionStats};
 
-fn usage() -> ExitCode {
-    eprintln!(
-        "usage: txmm <command>\n\
-         \n\
-         commands:\n\
-         \u{20} models                        list registered models\n\
-         \u{20} gen <dir> [--events N]        generate a litmus corpus\n\
-         \u{20} serve <dir|file...> [opts]    serve verdicts as JSONL\n\
-         \u{20} serve --listen <addr> [opts]  run the socket daemon\n\
-         \u{20} outcomes <dir|file...> [opts] serve allowed-outcome tables\n\
-         \u{20} check <file...> [opts]        alias for serve\n\
-         \u{20} client <addr> <request>       query a running daemon\n\
-         \n\
-         serve options: --model NAME, --cat FILE, --with-cat, --warm, --prom,\n\
-         \u{20}               --listen ADDR, --shards N, --max-conns N\n\
-         outcomes options: serve options plus --workers N, --max-candidates N\n\
-         \u{20} --workers N parallelises the pruned abort-split walk and class\n\
-         \u{20} checking over N work-stealing threads (1 = fully sequential)\n\
-         telemetry (gen/outcomes): --progress[=SECS] heartbeat JSONL frames on\n\
-         \u{20} stderr, --progress-file FILE to redirect them, --metrics-listen\n\
-         \u{20} ADDR to scrape live metrics from the one-shot process\n\
-         client requests: check <file>, batch <dir>, outcomes <file|dir>,\n\
-         \u{20}                reload, models, stats, metrics [--prom], shutdown\n\
-         client options: --trace ID (check/outcomes span timeline),\n\
-         \u{20}               --watch SECS (re-poll metrics on an interval)"
-    );
+/// Print a usage message; usage errors exit with failure.
+fn usage(text: &str) -> ExitCode {
+    eprintln!("{text}");
     ExitCode::FAILURE
 }
 
+const USAGE: &str = "usage: txmm <command>\n\
+     \n\
+     commands:\n\
+     \u{20} models                        list registered models\n\
+     \u{20} gen <dir> [--events N]        generate a litmus corpus\n\
+     \u{20} serve <dir|file...> [opts]    serve verdicts as JSONL\n\
+     \u{20} serve --listen <addr> [opts]  run the socket daemon\n\
+     \u{20} outcomes <dir|file...> [opts] serve allowed-outcome tables\n\
+     \u{20} check <file...> [opts]        alias for serve\n\
+     \u{20} client <addr> <request>       query a running daemon\n\
+     \n\
+     serve options: --model NAME, --cat FILE, --with-cat, --warm, --prom,\n\
+     \u{20}               --listen ADDR, --shards N, --max-conns N\n\
+     outcomes options: serve options plus --workers N, --max-candidates N\n\
+     \u{20} --workers N parallelises the pruned abort-split walk and class\n\
+     \u{20} checking over N work-stealing threads (1 = fully sequential)\n\
+     telemetry (gen/outcomes): --progress[=SECS] heartbeat JSONL frames on\n\
+     \u{20} stderr, --progress-file FILE to redirect them, --metrics-listen\n\
+     \u{20} ADDR to scrape live metrics from the one-shot process\n\
+     client requests: check <file>, batch <dir>, outcomes <file|dir>,\n\
+     \u{20}                reload, models, stats, metrics [--prom], shutdown\n\
+     client options: --trace ID (check/outcomes span timeline),\n\
+     \u{20}               --watch SECS (re-poll metrics on an interval)";
+
+/// Every command reports a failure by returning its message; `main`
+/// prints it once, as `error: <message>`, and exits with failure.
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("models") => cmd_models(&args[1..]),
-        Some("gen") => cmd_gen(&args[1..]),
-        Some("serve") | Some("check") => cmd_serve(&args[1..]),
-        Some("outcomes") => cmd_outcomes(&args[1..]),
-        Some("client") => cmd_client(&args[1..]),
-        _ => usage(),
-    }
+    let rest = args.get(1..).unwrap_or_default();
+    let result = match args.first().map(String::as_str) {
+        Some("models") => cmd_models(rest),
+        Some("gen") => cmd_gen(rest),
+        Some("serve") | Some("check") => cmd_serve(rest, Kind::Check),
+        Some("outcomes") => cmd_serve(rest, Kind::Outcomes),
+        Some("client") => cmd_client(rest),
+        _ => Ok(usage(USAGE)),
+    };
+    result.unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        ExitCode::FAILURE
+    })
 }
 
-fn cmd_models(args: &[String]) -> ExitCode {
+fn cmd_models(args: &[String]) -> Result<ExitCode, String> {
     let mut session = Session::with_shipped_cat();
     for path in flag_values(args, "--cat") {
-        if let Err(e) = session.register_cat_file(&PathBuf::from(path)) {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
+        session.register_cat_file(&PathBuf::from(path))?;
     }
     for m in session.models().collect::<Vec<_>>() {
         let model = session.model(m);
@@ -124,7 +129,7 @@ fn cmd_models(args: &[String]) -> ExitCode {
             model.is_tm()
         );
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Positional (non-flag) arguments: skips `--flag value` pairs for the
@@ -147,30 +152,17 @@ fn positionals(args: &[String]) -> Vec<&str> {
     out
 }
 
-fn cmd_gen(args: &[String]) -> ExitCode {
+fn cmd_gen(args: &[String]) -> Result<ExitCode, String> {
     let Some(&dir) = positionals(args).first() else {
-        eprintln!(
+        return Ok(usage(
             "usage: txmm gen <dir> [--events N] [--progress[=SECS]] [--progress-file FILE] \
-             [--metrics-listen ADDR]"
-        );
-        return ExitCode::FAILURE;
+             [--metrics-listen ADDR]",
+        ));
     };
-    let events: usize = flag_values(args, "--events")
-        .first()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(3);
+    let events = number_flag(args, "--events", false)?.unwrap_or(3);
     let dir = PathBuf::from(dir);
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!("error: cannot create {}: {e}", dir.display());
-        return ExitCode::FAILURE;
-    }
-    let telemetry = match parse_telemetry(args) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    std::fs::create_dir_all(&dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
+    let telemetry = parse_telemetry(args)?;
     let mut session = Session::new();
     if let Some(t) = &telemetry {
         session.set_walk_progress(Some(t.progress.clone()));
@@ -181,13 +173,10 @@ fn cmd_gen(args: &[String]) -> ExitCode {
     }
     for (i, (name, text)) in corpus.iter().enumerate() {
         let path = dir.join(format!("{i:02}-{name}.litmus"));
-        if let Err(e) = std::fs::write(&path, text) {
-            eprintln!("error: cannot write {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
+        std::fs::write(&path, text).map_err(|e| format!("cannot write {}: {e}", path.display()))?;
     }
     eprintln!("wrote {} litmus files to {}", corpus.len(), dir.display());
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Walk telemetry requested on the command line: the shared progress
@@ -288,68 +277,50 @@ fn has_flag(args: &[String], flag: &str) -> bool {
     args.iter().any(|a| a == flag)
 }
 
-/// Parse `--max-candidates N` into an enumeration cap; `None` when the
-/// flag is absent (keep the session default of 2^16).
-fn parse_max_candidates(args: &[String]) -> Result<Option<u128>, String> {
-    match flag_values(args, "--max-candidates").last() {
-        None => Ok(None),
-        Some(v) => match v.parse::<u128>() {
-            Ok(n) if n >= 1 => Ok(Some(n)),
-            _ => Err(format!(
-                "--max-candidates must be a positive integer, got {v:?}"
-            )),
-        },
+/// The last value of a numeric flag; `None` when the flag is absent.
+/// A value that does not parse (or is zero, when `positive`) is an
+/// error rather than a silent fallback to the default.
+fn number_flag<T: FromStr + Default + PartialEq>(
+    args: &[String],
+    flag: &str,
+    positive: bool,
+) -> Result<Option<T>, String> {
+    let Some(v) = flag_values(args, flag).last().copied() else {
+        return Ok(None);
+    };
+    match v.parse::<T>() {
+        Ok(n) if !(positive && n == T::default()) => Ok(Some(n)),
+        _ => Err(format!(
+            "{flag} must be a {} integer, got {v:?}",
+            if positive { "positive" } else { "non-negative" }
+        )),
     }
 }
 
 /// Daemon mode: `txmm serve --listen <addr>`.
-fn cmd_serve_daemon(args: &[String], listen: &str) -> ExitCode {
-    let shards: usize = flag_values(args, "--shards")
-        .first()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0);
+fn cmd_serve_daemon(args: &[String], listen: &str) -> Result<ExitCode, String> {
     let cfg = PoolConfig {
-        shards,
+        shards: number_flag(args, "--shards", false)?.unwrap_or(0),
         with_cat: has_flag(args, "--with-cat"),
         cat_files: flag_values(args, "--cat")
             .iter()
             .map(PathBuf::from)
             .collect(),
     };
-    let pool = match SessionPool::new(&cfg) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let max_conns = number_flag(args, "--max-conns", false)?.unwrap_or(0);
+    let pool = SessionPool::new(&cfg)?;
     let shards = pool.shard_count();
-    let max_conns: usize = flag_values(args, "--max-conns")
-        .first()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0);
-    let daemon = match Daemon::bind(&ListenAddr::parse(listen), pool) {
-        Ok(d) => d.with_max_conns(max_conns),
-        Err(e) => {
-            eprintln!("error: cannot listen on {listen}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let daemon = Daemon::bind(&ListenAddr::parse(listen), pool)
+        .map_err(|e| format!("cannot listen on {listen}: {e}"))?
+        .with_max_conns(max_conns);
     eprintln!(
         "txmm-serverd listening on {} ({} shards)",
         daemon.local_addr(),
         shards
     );
-    match daemon.run() {
-        Ok(()) => {
-            eprintln!("txmm-serverd: clean shutdown");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    daemon.run().map_err(|e| e.to_string())?;
+    eprintln!("txmm-serverd: clean shutdown");
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Connect to a daemon at `addr` (`host:port` or `unix:<path>`).
@@ -364,17 +335,16 @@ fn connect(addr: &str) -> std::io::Result<Box<dyn ReadWrite>> {
 trait ReadWrite: Read + Write {}
 impl<T: Read + Write> ReadWrite for T {}
 
-fn cmd_client(args: &[String]) -> ExitCode {
+fn cmd_client(args: &[String]) -> Result<ExitCode, String> {
     let pos = positionals(args);
     let (addr, what, arg) = match pos.as_slice() {
         [addr, what] => (*addr, *what, None),
         [addr, what, arg] => (*addr, *what, Some(*arg)),
         _ => {
-            eprintln!(
+            return Ok(usage(
                 "usage: txmm client <addr> check <file> | batch <dir> | models | stats | \
-                 metrics [--prom] | shutdown [--model NAME] [--trace ID]"
-            );
-            return ExitCode::FAILURE;
+                 metrics [--prom] | shutdown [--model NAME] [--trace ID]",
+            ))
         }
     };
     let trace = flag_values(args, "--trace").last().map(|s| s.to_string());
@@ -384,29 +354,16 @@ fn cmd_client(args: &[String]) -> ExitCode {
     } else {
         Some(model_names.iter().map(|s| s.to_string()).collect())
     };
-    let max_candidates = match parse_max_candidates(args) {
-        Ok(cap) => cap,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let max_candidates = number_flag(args, "--max-candidates", true)?;
+    let read =
+        |file: &str| std::fs::read_to_string(file).map_err(|e| format!("cannot read {file}: {e}"));
     let request = match (what, arg) {
-        ("check", Some(file)) => {
-            let src = match std::fs::read_to_string(file) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("error: cannot read {file}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            Request::Check {
-                file: file.to_string(),
-                src,
-                models,
-                trace,
-            }
-        }
+        ("check", Some(file)) => Request::Check {
+            file: file.to_string(),
+            src: read(file)?,
+            models,
+            trace,
+        },
         ("batch", Some(dir)) => Request::Batch {
             dir: dir.to_string(),
             models,
@@ -418,22 +375,13 @@ fn cmd_client(args: &[String]) -> ExitCode {
             models,
             max_candidates,
         },
-        ("outcomes", Some(file)) => {
-            let src = match std::fs::read_to_string(file) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("error: cannot read {file}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            Request::Outcomes {
-                file: file.to_string(),
-                src,
-                models,
-                max_candidates,
-                trace,
-            }
-        }
+        ("outcomes", Some(file)) => Request::Outcomes {
+            file: file.to_string(),
+            src: read(file)?,
+            models,
+            max_candidates,
+            trace,
+        },
         ("reload", None) => Request::Reload,
         ("models", None) => Request::Models,
         ("stats", None) => Request::Stats,
@@ -441,29 +389,22 @@ fn cmd_client(args: &[String]) -> ExitCode {
             prom: has_flag(args, "--prom"),
         },
         ("shutdown", None) => Request::Shutdown,
-        _ => {
-            eprintln!("error: unknown client request {what} {arg:?}");
-            return ExitCode::FAILURE;
-        }
+        _ => return Err(format!("unknown client request {what} {arg:?}")),
     };
     // `metrics --watch SECS` polls on an interval, reconnecting each
     // round (one-shot sidecars and daemons alike serve one frame per
     // connection), until the target goes away or the user interrupts.
-    let watch = flag_values(args, "--watch")
+    let watch = match flag_values(args, "--watch")
         .last()
-        .map(|s| s.parse::<f64>());
-    let watch = match watch {
+        .map(|s| s.parse::<f64>())
+    {
         None => None,
         Some(Ok(secs)) if secs > 0.0 => Some(secs),
-        Some(_) => {
-            eprintln!("error: --watch expects a positive number of seconds");
-            return ExitCode::FAILURE;
-        }
+        Some(_) => return Err("--watch expects a positive number of seconds".into()),
     };
     if let Some(secs) = watch {
         if !matches!(request, Request::Metrics { .. }) {
-            eprintln!("error: --watch only applies to the metrics request");
-            return ExitCode::FAILURE;
+            return Err("--watch only applies to the metrics request".into());
         }
         use std::io::IsTerminal;
         let clear = std::io::stdout().is_terminal();
@@ -473,26 +414,16 @@ fn cmd_client(args: &[String]) -> ExitCode {
                 // interactive; piped output stays plain JSONL.
                 print!("\x1b[2J\x1b[H");
             }
-            match client_round_trip(addr, &request) {
-                Ok(_) => {}
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
+            client_round_trip(addr, &request)?;
             let _ = std::io::Write::flush(&mut std::io::stdout());
             std::thread::sleep(std::time::Duration::from_secs_f64(secs));
         }
     }
-    match client_round_trip(addr, &request) {
-        Ok(0) => ExitCode::SUCCESS,
-        Ok(failures) => {
+    match client_round_trip(addr, &request)? {
+        0 => Ok(ExitCode::SUCCESS),
+        failures => {
             eprintln!("{failures} error responses");
-            ExitCode::FAILURE
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
+            Ok(ExitCode::FAILURE)
         }
     }
 }
@@ -529,15 +460,10 @@ fn client_round_trip(addr: &str, request: &Request) -> Result<usize, String> {
     Ok(failures)
 }
 
-/// One-shot outcome serving: `txmm outcomes <dir|file...>` — the
-/// program-level twin of `cmd_serve`, enumerating every candidate
-/// execution per test and printing the per-model allowed-outcome table,
-/// one JSONL line per test (byte-identical to the daemon's `outcomes`
-/// answers over the same tests).
 /// The inputs `txmm serve` and `txmm outcomes` share: register every
 /// `--cat` file on `session`, resolve the `--model` filter (`None` =
 /// every model), and expand directories in `paths` into their
-/// `.litmus` files. Errors are the message after `error: `.
+/// `.litmus` files.
 fn load_inputs(
     session: &mut Session,
     args: &[String],
@@ -573,16 +499,30 @@ fn load_inputs(
     Ok((filter, files))
 }
 
-fn cmd_outcomes(args: &[String]) -> ExitCode {
-    use txmm::serve::{outcomes_jsonl_line, serve_outcomes_file, ServedOutcomes};
-
+/// One-shot serving of either kind: `txmm serve <dir|file...>` (the
+/// per-model verdicts) or `txmm outcomes <dir|file...>` (every candidate
+/// execution per program and the per-model allowed-outcome table), one
+/// JSONL line per test on stdout, byte-identical to the daemon's answers
+/// over the same tests.
+fn cmd_serve(args: &[String], kind: Kind) -> Result<ExitCode, String> {
+    if kind == Kind::Check {
+        if let Some(listen) = flag_values(args, "--listen").first() {
+            return cmd_serve_daemon(args, listen);
+        }
+    }
+    // Positional arguments are directories or litmus files.
     let paths: Vec<PathBuf> = positionals(args).into_iter().map(PathBuf::from).collect();
     if paths.is_empty() {
-        eprintln!(
-            "usage: txmm outcomes <dir|file...> [--model NAME] [--cat FILE] [--with-cat] \
-             [--warm] [--workers N] [--max-candidates N]"
-        );
-        return ExitCode::FAILURE;
+        return Ok(usage(match kind {
+            Kind::Check => {
+                "usage: txmm serve <dir|file...> [--model NAME] [--cat FILE] [--with-cat] [--warm]\n\
+                 \u{20}      txmm serve --listen <addr> [--shards N] [--max-conns N] [--cat FILE] [--with-cat]"
+            }
+            Kind::Outcomes => {
+                "usage: txmm outcomes <dir|file...> [--model NAME] [--cat FILE] [--with-cat] \
+                 [--warm] [--workers N] [--max-candidates N]"
+            }
+        }));
     }
 
     let mut session = if has_flag(args, "--with-cat") {
@@ -590,54 +530,39 @@ fn cmd_outcomes(args: &[String]) -> ExitCode {
     } else {
         Session::new()
     };
-    let workers: usize = flag_values(args, "--workers")
-        .first()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| {
+    if kind == Kind::Outcomes {
+        let workers = number_flag(args, "--workers", false)?.unwrap_or_else(|| {
             std::thread::available_parallelism()
                 .map(|n| n.get().min(8))
                 .unwrap_or(1)
         });
-    session.set_outcome_workers(workers);
-    match parse_max_candidates(args) {
-        Ok(Some(cap)) => session.set_max_candidates(cap),
-        Ok(None) => {}
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
+        session.set_outcome_workers(workers);
+        if let Some(cap) = number_flag(args, "--max-candidates", true)? {
+            session.set_max_candidates(cap);
         }
     }
-    let (filter, files) = match load_inputs(&mut session, args, paths) {
-        Ok(inputs) => inputs,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-
-    let telemetry = match parse_telemetry(args) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
+    let (filter, files) = load_inputs(&mut session, args, paths)?;
+    let telemetry = match kind {
+        Kind::Check => None,
+        Kind::Outcomes => parse_telemetry(args)?,
     };
     if let Some(t) = &telemetry {
         session.set_walk_progress(Some(t.progress.clone()));
     }
 
     let mut failures = 0usize;
-    let mut pass = |session: &mut Session, print: bool| -> u128 {
-        let mut serving = 0u128;
+    // Each pass sums the serving stages alone, not JSONL rendering or
+    // stdout throughput, so the cold/warm comparison measures the
+    // caches; a --warm rerun serves the same files, so failures are
+    // counted in the first pass only.
+    let mut pass = |session: &mut Session, print: bool| -> u64 {
+        let mut serving = 0;
         for f in &files {
-            let start = Instant::now();
-            let served = serve_outcomes_file(session, f, filter.as_deref());
-            serving += start.elapsed().as_micros();
+            let reply = serve_file(session, kind, f, filter.as_deref());
+            serving += reply.stages.total();
             if print {
-                if matches!(served, ServedOutcomes::Failure(_)) {
-                    failures += 1;
-                }
-                println!("{}", outcomes_jsonl_line(&served));
+                failures += usize::from(!reply.ok);
+                println!("{}", reply.line);
             }
         }
         serving
@@ -647,125 +572,58 @@ fn cmd_outcomes(args: &[String]) -> ExitCode {
     if let Some(t) = telemetry {
         t.finish();
     }
-    let s = session.stats();
-    if has_flag(args, "--warm") {
-        let warm = pass(&mut session, false);
-        let s = session.stats();
-        eprintln!(
-            "served {} outcome tables: cold {}us, warm {}us ({:.1}x speedup); \
-             {} candidates in {} classes, {} outcome entries, \
-             {} outcome hits / {} misses",
-            files.len(),
-            cold,
-            warm,
-            cold as f64 / warm.max(1) as f64,
-            s.outcome_candidates,
-            s.outcome_classes,
-            s.outcome_entries,
-            s.outcome_hits,
-            s.outcome_misses,
-        );
-    } else {
-        eprintln!(
-            "served {} outcome tables in {}us; {} candidates in {} classes \
-             ({} outcome entries)",
-            files.len(),
-            cold,
-            s.outcome_candidates,
-            s.outcome_classes,
-            s.outcome_entries,
-        );
-    }
+    let warm = has_flag(args, "--warm").then(|| pass(&mut session, false));
+    eprintln!(
+        "{}",
+        summary(kind, files.len(), cold, warm, &session.stats())
+    );
     if has_flag(args, "--prom") {
         eprint!("{}", txmm::obs::global().render_prom());
     }
     if failures > 0 {
         eprintln!("{failures} tests failed to serve");
-        return ExitCode::FAILURE;
+        return Ok(ExitCode::FAILURE);
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_serve(args: &[String]) -> ExitCode {
-    if let Some(listen) = flag_values(args, "--listen").first() {
-        return cmd_serve_daemon(args, listen);
-    }
-    // Positional arguments are directories or litmus files.
-    let paths: Vec<PathBuf> = positionals(args).into_iter().map(PathBuf::from).collect();
-    if paths.is_empty() {
-        eprintln!(
-            "usage: txmm serve <dir|file...> [--model NAME] [--cat FILE] [--with-cat] [--warm]\n\
-             \u{20}      txmm serve --listen <addr> [--shards N] [--max-conns N] [--cat FILE] [--with-cat]"
-        );
-        return ExitCode::FAILURE;
-    }
-
-    let mut session = if has_flag(args, "--with-cat") {
-        Session::with_shipped_cat()
-    } else {
-        Session::new()
+/// The stderr summary of a one-shot run: serving time per pass (with
+/// the cold/warm speedup under `--warm`) and the cache counters of the
+/// kind served.
+fn summary(kind: Kind, n: usize, cold: u64, warm: Option<u64>, s: &SessionStats) -> String {
+    let (what, counters) = match (kind, warm) {
+        (Kind::Check, _) => (
+            "tests",
+            format!(
+                "{} interned, {} verdict hits / {} misses",
+                s.interned, s.verdict_hits, s.verdict_misses
+            ),
+        ),
+        (Kind::Outcomes, Some(_)) => (
+            "outcome tables",
+            format!(
+                "{} candidates in {} classes, {} outcome entries, \
+                 {} outcome hits / {} misses",
+                s.outcome_candidates,
+                s.outcome_classes,
+                s.outcome_entries,
+                s.outcome_hits,
+                s.outcome_misses
+            ),
+        ),
+        (Kind::Outcomes, None) => (
+            "outcome tables",
+            format!(
+                "{} candidates in {} classes ({} outcome entries)",
+                s.outcome_candidates, s.outcome_classes, s.outcome_entries
+            ),
+        ),
     };
-    let (filter, files) = match load_inputs(&mut session, args, paths) {
-        Ok(inputs) => inputs,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-
-    let mut failures = 0usize;
-    // Each pass times ONLY the serving work (parse, convert, check,
-    // observe) so the cold/warm comparison measures the caches, not
-    // JSONL formatting or stdout throughput; a --warm rerun serves the
-    // same files, so failures are counted in the first pass only.
-    let mut pass = |session: &mut Session, print: bool| -> u128 {
-        let mut serving = 0u128;
-        for f in &files {
-            let start = Instant::now();
-            let served = serve_file(session, f, filter.as_deref());
-            serving += start.elapsed().as_micros();
-            if print {
-                if matches!(served, Served::Failure(_)) {
-                    failures += 1;
-                }
-                println!("{}", jsonl_line(&served));
-            }
-        }
-        serving
-    };
-
-    let cold = pass(&mut session, true);
-    if has_flag(args, "--warm") {
-        let warm = pass(&mut session, false);
-        let s = session.stats();
-        eprintln!(
-            "served {} tests: cold {}us, warm {}us ({:.1}x speedup); \
-             {} interned, {} verdict hits / {} misses",
-            files.len(),
-            cold,
-            warm,
-            cold as f64 / warm.max(1) as f64,
-            s.interned,
-            s.verdict_hits,
-            s.verdict_misses,
-        );
-    } else {
-        let s = session.stats();
-        eprintln!(
-            "served {} tests in {}us; {} interned, {} verdict hits / {} misses",
-            files.len(),
-            cold,
-            s.interned,
-            s.verdict_hits,
-            s.verdict_misses,
-        );
+    match warm {
+        Some(warm) => format!(
+            "served {n} {what}: cold {cold}us, warm {warm}us ({:.1}x speedup); {counters}",
+            cold as f64 / warm.max(1) as f64
+        ),
+        None => format!("served {n} {what} in {cold}us; {counters}"),
     }
-    if has_flag(args, "--prom") {
-        eprint!("{}", txmm::obs::global().render_prom());
-    }
-    if failures > 0 {
-        eprintln!("{failures} tests failed to serve");
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
 }

@@ -16,11 +16,18 @@
 //!   and all its thread/location-symmetric variants — always land on
 //!   the same shard, so the pool's caches collectively behave like one
 //!   warm cache even though no state is shared between shards.
+//! * **One serving path for both request kinds**: `check` and
+//!   `outcomes` ([`crate::serve::Kind`]) differ only in the handler-side
+//!   parse, the routing key (the canonical execution key, or the
+//!   program key for outcomes) and the shard-side compute. Queueing,
+//!   tracing, model-filter resolution, reply collection and failure
+//!   accounting are shared ([`SessionPool::serve`]).
 //! * **JSONL wire protocol** ([`crate::protocol`]): `check`, `batch`,
-//!   `models`, `stats` and graceful `shutdown` requests, each answered
-//!   by JSONL lines and a blank-line terminator. Payload lines reuse
-//!   [`crate::serve::jsonl_line`], so daemon answers are byte-identical
-//!   to one-shot `txmm serve` output over the same tests.
+//!   `outcomes`, `models`, `stats`, `reload` and graceful `shutdown`
+//!   requests, each answered by JSONL lines and a blank-line
+//!   terminator. Payload lines are rendered by the one-shot serving
+//!   code, so daemon answers are byte-identical to one-shot `txmm serve`
+//!   and `txmm outcomes` output over the same tests.
 //!
 //! ```text
 //! clients ──TCP/Unix──► handler threads ──parse/convert──► shard channels
@@ -38,13 +45,9 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use txmm_litmus::LitmusTest;
-use txmm_synth::canon_key;
-
 use crate::protocol::{error_line, Request};
 use crate::serve::{
-    check_parsed, collect_litmus_files, jsonl_line, outcomes_jsonl_line, parse_outcomes_request,
-    parse_request, ParsedTest, Served, ServedOutcomes, StageMicros, TestFailure,
+    collect_litmus_files, failure_line, Kind, Prepared, Reply, StageMicros, TestFailure,
 };
 use crate::session::{ModelRef, Session, SessionStats};
 
@@ -72,25 +75,14 @@ impl PoolConfig {
 
 /// One unit of shard work.
 enum Job {
-    /// Run the verdict/observe stages and reply with the finished
-    /// JSONL payload line for response slot `seq`.
-    Check {
+    /// Run a prepared request's Session-side step and reply with its
+    /// payload line for response slot `seq`.
+    Serve {
         seq: usize,
-        parsed: Box<ParsedTest>,
-        models: Option<Vec<String>>,
-        reply: mpsc::Sender<(usize, String)>,
-        queued: Instant,
-        trace: Option<Arc<txmm_obs::Trace>>,
-    },
-    /// Enumerate a program's candidate executions and reply with the
-    /// outcome-table payload line for response slot `seq`.
-    Outcomes {
-        seq: usize,
-        file: String,
-        test: Box<LitmusTest>,
+        request: Prepared,
         models: Option<Vec<String>>,
         max_candidates: Option<u128>,
-        reply: mpsc::Sender<(usize, String)>,
+        reply: mpsc::Sender<(usize, Reply)>,
         queued: Instant,
         trace: Option<Arc<txmm_obs::Trace>>,
     },
@@ -108,14 +100,15 @@ enum Job {
 pub struct ShardSnapshot {
     /// Shard index.
     pub shard: usize,
-    /// Check jobs completed by this shard.
+    /// Requests this shard answered (failure replies not counted).
     pub served: u64,
     /// Jobs enqueued but not yet completed at snapshot time.
     pub depth: u64,
     /// The shard Session's cache and arena counters.
     pub session: SessionStats,
     /// Accumulated per-stage serving time across this shard's jobs
-    /// (parse/convert ticked on handler threads, verdict/observe here).
+    /// (parse/convert ticked on handler threads, verdict/observe here;
+    /// outcome requests charge the outcome engine to verdict).
     pub stages: StageMicros,
     /// The shard Session's walk-progress accumulator (cumulative over
     /// every outcome walk the shard has run; all zero before the
@@ -277,72 +270,33 @@ fn worker(
     let mut stages = StageMicros::default();
     for job in rx {
         match job {
-            Job::Check {
+            Job::Serve {
                 seq,
-                parsed,
-                models,
-                reply,
-                queued,
-                trace,
-            } => {
-                let wait_micros = queued.elapsed().as_micros() as u64;
-                queue_wait.record(wait_micros);
-                let line = txmm_obs::with_trace(trace.as_ref(), || {
-                    match resolve_filter(&session, &models) {
-                        Ok(filter) => {
-                            let report = check_parsed(&mut session, &parsed, filter.as_deref());
-                            stages.parse += report.stages.parse;
-                            stages.convert += report.stages.convert;
-                            stages.verdict += report.stages.verdict;
-                            stages.observe += report.stages.observe;
-                            // Queue wait is part of the request's wall
-                            // time but not of any compute stage.
-                            stages.other += report.stages.other + wait_micros;
-                            served += 1;
-                            jsonl_line(&Served::Report(report))
-                        }
-                        Err(e) => error_line(&e),
-                    }
-                });
-                completed.fetch_add(1, Ordering::Relaxed);
-                let _ = reply.send((seq, line));
-            }
-            Job::Outcomes {
-                seq,
-                file,
-                test,
+                request,
                 models,
                 max_candidates,
                 reply,
                 queued,
                 trace,
             } => {
-                let wait_micros = queued.elapsed().as_micros() as u64;
+                let start = Instant::now();
+                let wait_micros = start.duration_since(queued).as_micros() as u64;
                 queue_wait.record(wait_micros);
-                let line = txmm_obs::with_trace(trace.as_ref(), || {
+                let answered = txmm_obs::with_trace(trace.as_ref(), || {
                     match resolve_filter(&session, &models) {
                         Ok(filter) => {
-                            let _span = txmm_obs::span!("serve.outcomes");
-                            let s = match session.outcomes_capped(
-                                &file,
-                                &test,
-                                filter.as_deref(),
-                                max_candidates,
-                            ) {
-                                Ok(r) => {
-                                    served += 1;
-                                    ServedOutcomes::Report(r)
-                                }
-                                Err(e) => ServedOutcomes::Failure(TestFailure { file, error: e }),
-                            };
-                            outcomes_jsonl_line(&s)
+                            request.answer(&mut session, filter.as_deref(), max_candidates, start)
                         }
-                        Err(e) => error_line(&e),
+                        Err(e) => Reply::failed(error_line(&e)),
                     }
                 });
+                stages += answered.stages;
+                // Queue wait is part of the request's wall time but not
+                // of any compute stage.
                 stages.other += wait_micros;
+                served += u64::from(answered.ok);
                 completed.fetch_add(1, Ordering::Relaxed);
-                let _ = reply.send((seq, line));
+                let _ = reply.send((seq, answered));
             }
             Job::Reload { sources, reply } => {
                 let mut reloaded = Vec::with_capacity(sources.len());
@@ -384,6 +338,26 @@ fn worker(
             }
         }
     }
+}
+
+/// Render `(key, value)` counters as comma-separated JSON members.
+/// With `rates`, each `_misses` counter is followed by the `_hit_rate`
+/// of it and the `_hits` counter before it (`null` before any traffic).
+fn counter_members(counters: &[(&str, u64)], rates: bool) -> String {
+    let mut out = Vec::with_capacity(counters.len() + 4);
+    let mut prev = 0;
+    for &(key, v) in counters {
+        out.push(format!("\"{key}\":{v}"));
+        if let Some(stem) = key.strip_suffix("_misses").filter(|_| rates) {
+            let rate = match prev + v {
+                0 => "null".to_string(),
+                n => format!("{:.4}", prev as f64 / n as f64),
+            };
+            out.push(format!("\"{stem}_hit_rate\":{rate}"));
+        }
+        prev = v;
+    }
+    out.join(",")
 }
 
 impl SessionPool {
@@ -451,92 +425,9 @@ impl SessionPool {
         &self.models
     }
 
-    /// Serve one litmus source; returns the response payload line.
+    /// Check one litmus source; returns the response payload line.
     pub fn check(&self, file: &str, src: &str, models: Option<Vec<String>>) -> String {
-        self.check_many(vec![(file.to_string(), src.to_string())], models)
-            .pop()
-            .expect("one response per request")
-    }
-
-    /// [`SessionPool::check`] with a client trace: spans from the
-    /// handler-side parse/convert and the shard-side verdict/observe
-    /// both land on `trace`.
-    pub fn check_traced(
-        &self,
-        file: &str,
-        src: &str,
-        models: Option<Vec<String>>,
-        trace: &Arc<txmm_obs::Trace>,
-    ) -> String {
-        self.check_many_traced(
-            vec![(file.to_string(), src.to_string())],
-            models,
-            Some(trace),
-        )
-        .pop()
-        .expect("one response per request")
-    }
-
-    /// Serve many litmus sources concurrently across the shards,
-    /// returning one payload line per input, in input order.
-    pub fn check_many(
-        &self,
-        items: Vec<(String, String)>,
-        models: Option<Vec<String>>,
-    ) -> Vec<String> {
-        self.check_many_traced(items, models, None)
-    }
-
-    fn check_many_traced(
-        &self,
-        items: Vec<(String, String)>,
-        models: Option<Vec<String>>,
-        trace: Option<&Arc<txmm_obs::Trace>>,
-    ) -> Vec<String> {
-        let n = items.len();
-        let mut out: Vec<Option<String>> = Vec::new();
-        out.resize_with(n, || None);
-        let (reply, replies) = mpsc::channel();
-        let mut pending = 0usize;
-        for (seq, (file, src)) in items.into_iter().enumerate() {
-            // Parse/convert on this (handler) thread; only well-formed
-            // executions travel to a shard.
-            match txmm_obs::with_trace(trace, || parse_request(&file, &src)) {
-                Err(f) => {
-                    self.failures.inc();
-                    out[seq] = Some(jsonl_line(&Served::Failure(f)));
-                }
-                Ok(parsed) => {
-                    let shard = &self.shards
-                        [(fnv1a(&canon_key(&parsed.exec)) as usize) % self.shards.len()];
-                    let parsed = Box::new(parsed);
-                    shard.enqueued.fetch_add(1, Ordering::Relaxed);
-                    let job = Job::Check {
-                        seq,
-                        parsed,
-                        models: models.clone(),
-                        reply: reply.clone(),
-                        queued: Instant::now(),
-                        trace: trace.cloned(),
-                    };
-                    if shard.tx.send(job).is_err() {
-                        out[seq] = Some(error_line("shard worker unavailable"));
-                    } else {
-                        pending += 1;
-                    }
-                }
-            }
-        }
-        drop(reply);
-        for (seq, line) in replies.iter().take(pending) {
-            if line.starts_with("{\"error\"") {
-                self.failures.inc();
-            }
-            out[seq] = Some(line);
-        }
-        out.into_iter()
-            .map(|slot| slot.unwrap_or_else(|| error_line("shard worker died")))
-            .collect()
+        self.serve_one(Kind::Check, file.into(), src.into(), models, None, None)
     }
 
     /// Serve one litmus source through the outcome engine; returns the
@@ -548,96 +439,95 @@ impl SessionPool {
         models: Option<Vec<String>>,
         max_candidates: Option<u128>,
     ) -> String {
-        self.outcomes_many(
-            vec![(file.to_string(), src.to_string())],
-            models,
-            max_candidates,
-        )
-        .pop()
-        .expect("one response per request")
+        let (file, src) = (file.into(), src.into());
+        self.serve_one(Kind::Outcomes, file, src, models, max_candidates, None)
     }
 
-    /// [`SessionPool::outcomes`] with a client trace installed on both
-    /// sides of the shard hop.
-    pub fn outcomes_traced(
+    /// One source of either kind. With a `trace` ID the response carries
+    /// the trace echo (`trace_id` and span timeline), error lines
+    /// included; untraced responses stay byte-identical to one-shot
+    /// serving.
+    fn serve_one(
         &self,
-        file: &str,
-        src: &str,
+        kind: Kind,
+        file: String,
+        src: String,
         models: Option<Vec<String>>,
         max_candidates: Option<u128>,
-        trace: &Arc<txmm_obs::Trace>,
+        trace: Option<&str>,
     ) -> String {
-        self.outcomes_many_traced(
-            vec![(file.to_string(), src.to_string())],
-            models,
-            max_candidates,
-            Some(trace),
-        )
-        .pop()
-        .expect("one response per request")
+        let trace = trace.map(txmm_obs::Trace::new);
+        let line = self
+            .serve(
+                kind,
+                vec![(file, src)],
+                models,
+                max_candidates,
+                trace.as_ref(),
+            )
+            .pop()
+            .expect("one response per request");
+        match &trace {
+            Some(tr) => crate::serve::attach_trace(&line, tr),
+            None => line,
+        }
     }
 
-    /// Serve many litmus sources through the outcome engine,
-    /// concurrently across the shards, one payload line per input in
-    /// input order. Dispatch is keyed by a hash of the *program* key
-    /// ([`txmm_litmus::program_key`]) — there is no pinned execution to
-    /// key by — so repeats of a program (under any postcondition)
-    /// always land on the shard holding its warm outcome table.
-    pub fn outcomes_many(
+    /// Serve many litmus sources of one kind concurrently across the
+    /// shards, returning one payload line per input, in input order.
+    ///
+    /// Each source is parsed (and for checks converted) on the calling
+    /// thread, then routed by a hash of its key: the canonical execution
+    /// key for checks, so repeats and symmetric variants hit one shard's
+    /// verdict cache, and the postcondition-free program key
+    /// ([`txmm_litmus::program_key`]) for outcomes, so every
+    /// postcondition over a program hits the shard holding its outcome
+    /// table. `max_candidates` overrides the outcome engine's candidate
+    /// cap (checks ignore it). With a `trace`, spans from both sides of
+    /// the shard hop land on it.
+    pub fn serve(
         &self,
-        items: Vec<(String, String)>,
-        models: Option<Vec<String>>,
-        max_candidates: Option<u128>,
-    ) -> Vec<String> {
-        self.outcomes_many_traced(items, models, max_candidates, None)
-    }
-
-    fn outcomes_many_traced(
-        &self,
+        kind: Kind,
         items: Vec<(String, String)>,
         models: Option<Vec<String>>,
         max_candidates: Option<u128>,
         trace: Option<&Arc<txmm_obs::Trace>>,
     ) -> Vec<String> {
-        let n = items.len();
-        let mut out: Vec<Option<String>> = Vec::new();
-        out.resize_with(n, || None);
+        let mut out: Vec<Option<String>> = vec![None; items.len()];
         let (reply, replies) = mpsc::channel();
         let mut pending = 0usize;
         for (seq, (file, src)) in items.into_iter().enumerate() {
-            match txmm_obs::with_trace(trace, || parse_outcomes_request(&file, &src)) {
+            let request = match txmm_obs::with_trace(trace, || kind.prepare(&file, &src)) {
+                Ok(request) => request,
                 Err(f) => {
                     self.failures.inc();
-                    out[seq] = Some(outcomes_jsonl_line(&ServedOutcomes::Failure(f)));
+                    out[seq] = Some(failure_line(&f));
+                    continue;
                 }
-                Ok(test) => {
-                    let key = txmm_litmus::program_key(&test);
-                    let shard = &self.shards[(fnv1a(&key) as usize) % self.shards.len()];
-                    shard.enqueued.fetch_add(1, Ordering::Relaxed);
-                    let job = Job::Outcomes {
-                        seq,
-                        file,
-                        test: Box::new(test),
-                        models: models.clone(),
-                        max_candidates,
-                        reply: reply.clone(),
-                        queued: Instant::now(),
-                        trace: trace.cloned(),
-                    };
-                    if shard.tx.send(job).is_err() {
-                        out[seq] = Some(error_line("shard worker unavailable"));
-                    } else {
-                        pending += 1;
-                    }
-                }
+            };
+            let shard = &self.shards[(fnv1a(&request.route_key()) as usize) % self.shards.len()];
+            shard.enqueued.fetch_add(1, Ordering::Relaxed);
+            let job = Job::Serve {
+                seq,
+                request,
+                models: models.clone(),
+                max_candidates,
+                reply: reply.clone(),
+                queued: Instant::now(),
+                trace: trace.cloned(),
+            };
+            if shard.tx.send(job).is_err() {
+                out[seq] = Some(error_line("shard worker unavailable"));
+            } else {
+                pending += 1;
             }
         }
         drop(reply);
-        for (seq, line) in replies.iter().take(pending) {
-            if line.contains("\"error\"") {
+        for (seq, answered) in replies.iter().take(pending) {
+            if !answered.ok {
                 self.failures.inc();
             }
-            out[seq] = Some(line);
+            out[seq] = Some(answered.line);
         }
         out.into_iter()
             .map(|slot| slot.unwrap_or_else(|| error_line("shard worker died")))
@@ -722,90 +612,36 @@ impl SessionPool {
         (out, self.failures.get())
     }
 
-    /// Render the `stats` response line.
+    /// Render the `stats` response line: pool totals, then one object
+    /// per shard, both listing the [`SessionStats::counters`].
     pub fn stats_line(&self) -> String {
         let (shards, failures) = self.stats();
-        let mut total = SessionStats::default();
+        let mut total = SessionStats::default().counters();
         let mut stages = StageMicros::default();
-        let mut served = 0u64;
         for s in &shards {
-            served += s.served;
-            total.interned += s.session.interned;
-            total.verdict_hits += s.session.verdict_hits;
-            total.verdict_misses += s.session.verdict_misses;
-            total.observability_hits += s.session.observability_hits;
-            total.observability_misses += s.session.observability_misses;
-            total.outcome_hits += s.session.outcome_hits;
-            total.outcome_misses += s.session.outcome_misses;
-            total.outcome_entries += s.session.outcome_entries;
-            total.outcome_candidates += s.session.outcome_candidates;
-            total.outcome_classes += s.session.outcome_classes;
-            total.compile_hits += s.session.compile_hits;
-            total.compile_misses += s.session.compile_misses;
-            total.compile_entries += s.session.compile_entries;
-            total.compile_micros += s.session.compile_micros;
-            total.prune_subtrees_cut += s.session.prune_subtrees_cut;
-            total.prune_candidates_skipped += s.session.prune_candidates_skipped;
-            total.prune_oracle_calls += s.session.prune_oracle_calls;
-            total.prune_oracle_micros += s.session.prune_oracle_micros;
-            total.prune_delta_answers += s.session.prune_delta_answers;
-            total.prune_fallbacks += s.session.prune_fallbacks;
-            total.prune_batches += s.session.prune_batches;
-            total.prune_batched_placements += s.session.prune_batched_placements;
-            stages.parse += s.stages.parse;
-            stages.convert += s.stages.convert;
-            stages.verdict += s.stages.verdict;
-            stages.observe += s.stages.observe;
-            stages.other += s.stages.other;
-        }
-        let rate = |hits: u64, misses: u64| -> String {
-            let total = hits + misses;
-            if total == 0 {
-                "null".to_string()
-            } else {
-                format!("{:.4}", hits as f64 / total as f64)
+            for (t, (_, v)) in total.iter_mut().zip(s.session.counters()) {
+                t.1 += v;
             }
-        };
+            stages += s.stages;
+        }
+        let served: u64 = shards.iter().map(|s| s.served).sum();
         let per_shard = shards
             .iter()
             .map(|s| {
+                let w = &s.walk;
                 format!(
-                    "{{\"shard\":{},\"served\":{},\"depth\":{},\"interned\":{},\
-                     \"verdict_hits\":{},\"verdict_misses\":{},\"outcome_entries\":{},\
-                     \"outcome_hits\":{},\"outcome_misses\":{},\"compile_hits\":{},\
-                     \"compile_misses\":{},\"compile_entries\":{},\"compile_micros\":{},\
-                     \"prune_subtrees_cut\":{},\"prune_candidates_skipped\":{},\
-                     \"prune_oracle_calls\":{},\"prune_oracle_micros\":{},\
-                     \"prune_delta_answers\":{},\"prune_fallbacks\":{},\
-                     \"prune_batches\":{},\"prune_batched_placements\":{},\
+                    "{{\"shard\":{},\"served\":{},\"depth\":{},{},\
                      \"walk\":{{\"work_done\":{},\"work_total\":{},\"subtrees\":{},\
                      \"candidates\":{},\"classes\":{}}}}}",
                     s.shard,
                     s.served,
                     s.depth,
-                    s.session.interned,
-                    s.session.verdict_hits,
-                    s.session.verdict_misses,
-                    s.session.outcome_entries,
-                    s.session.outcome_hits,
-                    s.session.outcome_misses,
-                    s.session.compile_hits,
-                    s.session.compile_misses,
-                    s.session.compile_entries,
-                    s.session.compile_micros,
-                    s.session.prune_subtrees_cut,
-                    s.session.prune_candidates_skipped,
-                    s.session.prune_oracle_calls,
-                    s.session.prune_oracle_micros,
-                    s.session.prune_delta_answers,
-                    s.session.prune_fallbacks,
-                    s.session.prune_batches,
-                    s.session.prune_batched_placements,
-                    s.walk.work_done,
-                    s.walk.work_total,
-                    s.walk.subtrees,
-                    s.walk.candidates,
-                    s.walk.classes
+                    counter_members(&s.session.counters(), false),
+                    w.work_done,
+                    w.work_total,
+                    w.subtrees,
+                    w.candidates,
+                    w.classes
                 )
             })
             .collect::<Vec<_>>()
@@ -829,48 +665,12 @@ impl SessionPool {
             .collect::<Vec<_>>()
             .join(",");
         format!(
-            "{{\"shards\":{},\"served\":{served},\"failures\":{failures},\
-             \"interned\":{},\"verdict_hits\":{},\"verdict_misses\":{},\
-             \"verdict_hit_rate\":{},\"observability_hits\":{},\
-             \"observability_misses\":{},\"observability_hit_rate\":{},\
-             \"outcome_entries\":{},\"outcome_hits\":{},\"outcome_misses\":{},\
-             \"outcome_hit_rate\":{},\"outcome_candidates\":{},\"outcome_classes\":{},\
-             \"compile_hits\":{},\"compile_misses\":{},\"compile_hit_rate\":{},\
-             \"compile_entries\":{},\"compile_micros\":{},\
-             \"prune_subtrees_cut\":{},\"prune_candidates_skipped\":{},\
-             \"prune_oracle_calls\":{},\"prune_oracle_micros\":{},\
-             \"prune_delta_answers\":{},\"prune_fallbacks\":{},\
-             \"prune_batches\":{},\"prune_batched_placements\":{},\
+            "{{\"shards\":{},\"served\":{served},\"failures\":{failures},{},\
              \"stage_micros\":{{\"parse\":{},\"convert\":{},\"verdict\":{},\
              \"observe\":{},\"other\":{}}},\"slowest\":[{slowest}],\
              \"per_shard\":[{per_shard}]}}",
             self.shards.len(),
-            total.interned,
-            total.verdict_hits,
-            total.verdict_misses,
-            rate(total.verdict_hits, total.verdict_misses),
-            total.observability_hits,
-            total.observability_misses,
-            rate(total.observability_hits, total.observability_misses),
-            total.outcome_entries,
-            total.outcome_hits,
-            total.outcome_misses,
-            rate(total.outcome_hits, total.outcome_misses),
-            total.outcome_candidates,
-            total.outcome_classes,
-            total.compile_hits,
-            total.compile_misses,
-            rate(total.compile_hits, total.compile_misses),
-            total.compile_entries,
-            total.compile_micros,
-            total.prune_subtrees_cut,
-            total.prune_candidates_skipped,
-            total.prune_oracle_calls,
-            total.prune_oracle_micros,
-            total.prune_delta_answers,
-            total.prune_fallbacks,
-            total.prune_batches,
-            total.prune_batched_placements,
+            counter_members(&total, true),
             stages.parse,
             stages.convert,
             stages.verdict,
@@ -1155,66 +955,14 @@ fn request_meta(req: &Request) -> (&'static str, String, Option<String>) {
 /// Answer one request with its response lines (without the blank-line
 /// terminator); `true` in the second slot means shutdown was requested.
 fn answer(pool: &SessionPool, req: Request) -> (Vec<String>, bool) {
-    match req {
+    let lines = match req {
         Request::Check {
             file,
             src,
             models,
             trace,
-        } => {
-            let line = match &trace {
-                // The trace echo (`trace_id` + span timeline) goes on
-                // every traced response, error lines included; untraced
-                // responses stay byte-identical to one-shot serving.
-                Some(id) => {
-                    let tr = txmm_obs::Trace::new(id);
-                    let line = pool.check_traced(&file, &src, models, &tr);
-                    crate::serve::attach_trace(&line, &tr)
-                }
-                None => pool.check(&file, &src, models),
-            };
-            (vec![line], false)
-        }
-        Request::Batch { dir, models } => {
-            let files = match collect_litmus_files(std::path::Path::new(&dir)) {
-                Ok(fs) => fs,
-                Err(e) => return (vec![error_line(&format!("cannot read {dir}: {e}"))], false),
-            };
-            if files.is_empty() {
-                return (
-                    vec![error_line(&format!("no .litmus files in {dir}"))],
-                    false,
-                );
-            }
-            let mut items = Vec::with_capacity(files.len());
-            let mut out: Vec<Option<String>> = Vec::new();
-            out.resize_with(files.len(), || None);
-            let mut indices = Vec::new();
-            for (i, path) in files.iter().enumerate() {
-                let file = path.display().to_string();
-                match std::fs::read_to_string(path) {
-                    Ok(src) => {
-                        indices.push(i);
-                        items.push((file, src));
-                    }
-                    Err(e) => {
-                        out[i] = Some(jsonl_line(&Served::Failure(crate::serve::TestFailure {
-                            file,
-                            error: e.to_string(),
-                        })));
-                    }
-                }
-            }
-            for (i, line) in indices.into_iter().zip(pool.check_many(items, models)) {
-                out[i] = Some(line);
-            }
-            (
-                out.into_iter()
-                    .map(|slot| slot.expect("every file answered"))
-                    .collect(),
-                false,
-            )
-        }
+        } => vec![pool.serve_one(Kind::Check, file, src, models, None, trace.as_deref())],
+        Request::Batch { dir, models } => answer_dir(pool, Kind::Check, &dir, models, None),
         Request::Outcomes {
             file,
             src,
@@ -1222,85 +970,65 @@ fn answer(pool: &SessionPool, req: Request) -> (Vec<String>, bool) {
             max_candidates,
             trace,
         } => {
-            let line = match &trace {
-                Some(id) => {
-                    let tr = txmm_obs::Trace::new(id);
-                    let line = pool.outcomes_traced(&file, &src, models, max_candidates, &tr);
-                    crate::serve::attach_trace(&line, &tr)
-                }
-                None => pool.outcomes(&file, &src, models, max_candidates),
-            };
-            (vec![line], false)
+            let trace = trace.as_deref();
+            vec![pool.serve_one(Kind::Outcomes, file, src, models, max_candidates, trace)]
         }
         Request::OutcomesBatch {
             dir,
             models,
             max_candidates,
-        } => {
-            let files = match collect_litmus_files(std::path::Path::new(&dir)) {
-                Ok(fs) => fs,
-                Err(e) => return (vec![error_line(&format!("cannot read {dir}: {e}"))], false),
-            };
-            if files.is_empty() {
-                return (
-                    vec![error_line(&format!("no .litmus files in {dir}"))],
-                    false,
-                );
+        } => answer_dir(pool, Kind::Outcomes, &dir, models, max_candidates),
+        Request::Reload => vec![pool.reload_line()],
+        Request::Models => pool.model_lines(),
+        Request::Stats => vec![pool.stats_line()],
+        // Prometheus exposition is multi-line; ship each line of the
+        // page in the frame (none are blank, so the frame terminator
+        // stays unambiguous).
+        Request::Metrics { prom: true } => txmm_obs::global()
+            .render_prom()
+            .lines()
+            .filter(|l| !l.trim().is_empty())
+            .map(str::to_string)
+            .collect(),
+        Request::Metrics { prom: false } => vec![txmm_obs::global().render_json()],
+        Request::Shutdown => return (vec!["{\"ok\":\"shutdown\"}".to_string()], true),
+    };
+    (lines, false)
+}
+
+/// One request over a server-side directory: a line per `.litmus` file,
+/// in name order (an unreadable file is a failure line).
+fn answer_dir(
+    pool: &SessionPool,
+    kind: Kind,
+    dir: &str,
+    models: Option<Vec<String>>,
+    max_candidates: Option<u128>,
+) -> Vec<String> {
+    let files = match collect_litmus_files(std::path::Path::new(dir)) {
+        Ok(fs) if fs.is_empty() => return vec![error_line(&format!("no .litmus files in {dir}"))],
+        Ok(fs) => fs,
+        Err(e) => return vec![error_line(&format!("cannot read {dir}: {e}"))],
+    };
+    let mut lines = Vec::with_capacity(files.len());
+    let mut items = Vec::new();
+    for path in &files {
+        let file = path.display().to_string();
+        match std::fs::read_to_string(path) {
+            Ok(src) => {
+                lines.push(None);
+                items.push((file, src));
             }
-            let mut items = Vec::with_capacity(files.len());
-            let mut out: Vec<Option<String>> = Vec::new();
-            out.resize_with(files.len(), || None);
-            let mut indices = Vec::new();
-            for (i, path) in files.iter().enumerate() {
-                let file = path.display().to_string();
-                match std::fs::read_to_string(path) {
-                    Ok(src) => {
-                        indices.push(i);
-                        items.push((file, src));
-                    }
-                    Err(e) => {
-                        out[i] = Some(outcomes_jsonl_line(&ServedOutcomes::Failure(TestFailure {
-                            file,
-                            error: e.to_string(),
-                        })));
-                    }
-                }
-            }
-            for (i, line) in
-                indices
-                    .into_iter()
-                    .zip(pool.outcomes_many(items, models, max_candidates))
-            {
-                out[i] = Some(line);
-            }
-            (
-                out.into_iter()
-                    .map(|slot| slot.expect("every file answered"))
-                    .collect(),
-                false,
-            )
+            Err(e) => lines.push(Some(failure_line(&TestFailure::new(&file, e)))),
         }
-        Request::Reload => (vec![pool.reload_line()], false),
-        Request::Models => (pool.model_lines(), false),
-        Request::Stats => (vec![pool.stats_line()], false),
-        Request::Metrics { prom } => {
-            let lines = if prom {
-                // Prometheus exposition is multi-line; ship each line of
-                // the page in the frame (none are blank, so the frame
-                // terminator stays unambiguous).
-                txmm_obs::global()
-                    .render_prom()
-                    .lines()
-                    .filter(|l| !l.trim().is_empty())
-                    .map(str::to_string)
-                    .collect()
-            } else {
-                vec![txmm_obs::global().render_json()]
-            };
-            (lines, false)
-        }
-        Request::Shutdown => (vec!["{\"ok\":\"shutdown\"}".to_string()], true),
     }
+    let mut served = pool
+        .serve(kind, items, models, max_candidates, None)
+        .into_iter();
+    lines
+        .into_iter()
+        .map(|l| l.unwrap_or_else(|| served.next().expect("one reply per readable file")))
+        .collect()
 }
 
 /// Serve one connection: request lines in, framed responses out.
@@ -1392,7 +1120,15 @@ fn handle_client(mut conn: Conn, pool: &SessionPool, stop: &AtomicBool) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::serve::serve_source;
+    use crate::serve::{jsonl_line, serve_source};
+
+    fn pool(shards: usize) -> SessionPool {
+        SessionPool::new(&PoolConfig {
+            shards,
+            ..PoolConfig::default()
+        })
+        .unwrap()
+    }
 
     fn small_corpus() -> Vec<(String, String)> {
         crate::corpus::generate(3)
@@ -1405,12 +1141,8 @@ mod tests {
     #[test]
     fn pool_matches_one_shot_serving_bytes() {
         let corpus = small_corpus();
-        let pool = SessionPool::new(&PoolConfig {
-            shards: 3,
-            ..PoolConfig::default()
-        })
-        .unwrap();
-        let pooled = pool.check_many(corpus.clone(), None);
+        let pool = pool(3);
+        let pooled = pool.serve(Kind::Check, corpus.clone(), None, None, None);
         let mut session = Session::new();
         for ((file, src), line) in corpus.iter().zip(&pooled) {
             let expect = jsonl_line(&serve_source(&mut session, file, src, None));
@@ -1422,15 +1154,11 @@ mod tests {
     #[test]
     fn repeated_checks_hit_the_same_shard_cache() {
         let corpus = small_corpus();
-        let pool = SessionPool::new(&PoolConfig {
-            shards: 4,
-            ..PoolConfig::default()
-        })
-        .unwrap();
-        let cold = pool.check_many(corpus.clone(), None);
+        let pool = pool(4);
+        let cold = pool.serve(Kind::Check, corpus.clone(), None, None, None);
         let (snaps, _) = pool.stats();
         let cold_misses: u64 = snaps.iter().map(|s| s.session.verdict_misses).sum();
-        let warm = pool.check_many(corpus, None);
+        let warm = pool.serve(Kind::Check, corpus, None, None, None);
         assert_eq!(cold, warm, "warm answers byte-identical");
         let (snaps, failures) = pool.stats();
         let warm_misses: u64 = snaps.iter().map(|s| s.session.verdict_misses).sum();
@@ -1442,11 +1170,7 @@ mod tests {
 
     #[test]
     fn unknown_model_and_bad_source_are_error_lines() {
-        let pool = SessionPool::new(&PoolConfig {
-            shards: 1,
-            ..PoolConfig::default()
-        })
-        .unwrap();
+        let pool = pool(1);
         let (file, src) = small_corpus().remove(0);
         let line = pool.check(&file, &src, Some(vec!["no-such".into()]));
         assert!(line.contains("\"error\""), "{line}");
@@ -1461,15 +1185,55 @@ mod tests {
     }
 
     #[test]
-    fn stats_line_shape() {
-        let pool = SessionPool::new(&PoolConfig {
-            shards: 2,
-            ..PoolConfig::default()
-        })
-        .unwrap();
+    fn failures_are_counted_from_the_reply_not_its_text() {
+        // A test whose file name is `error` is answered normally, so it
+        // is not a failure under either kind.
+        let pool = pool(2);
+        let (_, src) = small_corpus().remove(0);
+        let checked = pool.check("error", &src, None);
+        let outcomes = pool.outcomes("error", &src, None, None);
+        assert!(
+            checked.starts_with("{\"file\":\"error\",\"name\""),
+            "{checked}"
+        );
+        assert!(
+            outcomes.starts_with("{\"file\":\"error\",\"name\""),
+            "{outcomes}"
+        );
+        let (snaps, failures) = pool.stats();
+        assert_eq!(failures, 0);
+        assert_eq!(snaps.iter().map(|s| s.served).sum::<u64>(), 2);
+        // A refused outcome table is a failure, and not served.
+        let refused = pool.outcomes("error", &src, None, Some(1));
+        assert!(refused.contains("\"error\":\"program has"), "{refused}");
+        let (snaps, failures) = pool.stats();
+        assert_eq!(failures, 1);
+        assert_eq!(snaps.iter().map(|s| s.served).sum::<u64>(), 2);
+        pool.shutdown();
+    }
+
+    #[test]
+    fn outcome_requests_are_charged_to_parse_and_verdict() {
+        let pool = pool(2);
         let corpus = small_corpus();
-        let _ = pool.check_many(corpus.clone(), None);
-        let _ = pool.check_many(corpus, None);
+        let lines = pool.serve(Kind::Outcomes, corpus, None, None, None);
+        assert!(lines.iter().all(|l| !l.starts_with("{\"error\"")));
+        let (snaps, _) = pool.stats();
+        let mut stages = StageMicros::default();
+        for s in &snaps {
+            stages += s.stages;
+        }
+        assert!(stages.verdict > 0, "{stages:?}");
+        assert_eq!(stages.convert + stages.observe, 0, "{stages:?}");
+        pool.shutdown();
+    }
+
+    #[test]
+    fn stats_line_shape() {
+        let pool = pool(2);
+        let corpus = small_corpus();
+        let _ = pool.serve(Kind::Check, corpus.clone(), None, None, None);
+        let _ = pool.serve(Kind::Check, corpus, None, None, None);
         let line = pool.stats_line();
         assert!(line.contains("\"shards\":2"), "{line}");
         // The warm pass at least doubles the hits, so the rate is a

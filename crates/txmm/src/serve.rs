@@ -20,15 +20,19 @@
 //! {"file":"broken.litmus","error":"litmus parse error on line 3: ..."}
 //! ```
 //!
-//! Serving one test is a four-stage pipeline — *parse* (litmus text →
-//! AST), *convert* (AST → pinned candidate execution), *verdict*
-//! (cached model checking) and *observe* (cached hardware simulation) —
-//! and the stages are exposed separately ([`parse_request`] /
-//! [`check_parsed`]) so the socket daemon can run parse/convert on
-//! connection-handler threads and dispatch the execution to a Session
-//! shard. Each stage is timed on its own; under the sharded pool the
-//! parse/convert clock and the verdict/observe clock tick on different
-//! threads, and a whole-call wall clock would double-count queueing.
+//! A request asks one of two questions of a test, its [`Kind`]: is the
+//! pinned execution consistent under each model (`Check`), or which
+//! final states does each model allow (`Outcomes`, the outcome engine;
+//! its lines are rendered by [`outcomes_jsonl_line`]). Both kinds run
+//! the same two steps: a *handler-side* step on the text (parse, and for
+//! checks convert to the pinned execution) and a *Session-side* step
+//! (cached model checking and hardware observability, or the outcome
+//! table). The split lets the socket daemon run the first step on
+//! connection-handler threads and route the result to a Session shard;
+//! one-shot serving ([`serve_file`]) runs both on the caller's thread.
+//! Each stage is timed on its own; under the sharded pool the two steps'
+//! clocks tick on different threads, and a whole-call wall clock would
+//! double-count queueing.
 
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -37,6 +41,7 @@ use txmm_core::Execution;
 use txmm_hwsim::Outcome;
 use txmm_litmus::{execution_from_litmus, parse_litmus, LitmusTest};
 use txmm_models::{Arch, Verdict};
+use txmm_synth::canon_key;
 
 use crate::outcomes::OutcomeReport;
 use crate::session::{ModelRef, Session};
@@ -71,6 +76,16 @@ impl StageMicros {
     /// clock skew across threads — adds nothing).
     pub fn absorb_gap(&mut self, end_to_end: u64) {
         self.other += end_to_end.saturating_sub(self.total());
+    }
+}
+
+impl std::ops::AddAssign for StageMicros {
+    fn add_assign(&mut self, o: StageMicros) {
+        self.parse += o.parse;
+        self.convert += o.convert;
+        self.verdict += o.verdict;
+        self.observe += o.observe;
+        self.other += o.other;
     }
 }
 
@@ -134,6 +149,15 @@ pub struct TestFailure {
     pub error: String,
 }
 
+impl TestFailure {
+    pub(crate) fn new(file: &str, error: impl std::fmt::Display) -> TestFailure {
+        TestFailure {
+            file: file.to_string(),
+            error: error.to_string(),
+        }
+    }
+}
+
 /// One line of the JSONL stream.
 pub enum Served {
     /// The test was answered.
@@ -147,26 +171,10 @@ pub enum Served {
 pub fn parse_request(file: &str, src: &str) -> Result<ParsedTest, TestFailure> {
     let whole = Instant::now();
     let span = txmm_obs::span!("serve.parse");
-    let t = match parse_litmus(src) {
-        Ok(t) => t,
-        Err(e) => {
-            return Err(TestFailure {
-                file: file.to_string(),
-                error: e.to_string(),
-            })
-        }
-    };
+    let t = parse_litmus(src).map_err(|e| TestFailure::new(file, e))?;
     let parse_micros = span.finish();
     let span = txmm_obs::span!("serve.convert");
-    let x = match execution_from_litmus(&t) {
-        Ok(x) => x,
-        Err(e) => {
-            return Err(TestFailure {
-                file: file.to_string(),
-                error: e.to_string(),
-            })
-        }
-    };
+    let x = execution_from_litmus(&t).map_err(|e| TestFailure::new(file, e))?;
     let convert_micros = span.finish();
     Ok(ParsedTest {
         file: file.to_string(),
@@ -249,15 +257,164 @@ pub fn serve_source(
     }
 }
 
-/// Serve one litmus file from disk.
-pub fn serve_file(session: &mut Session, path: &Path, models: Option<&[ModelRef]>) -> Served {
+/// The question a request asks of a litmus test.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kind {
+    /// Per-model verdicts on the execution the postcondition pins, plus
+    /// hardware observability ([`jsonl_line`]).
+    Check,
+    /// The per-model allowed final-state table over every candidate
+    /// execution of the program ([`outcomes_jsonl_line`]).
+    Outcomes,
+}
+
+/// A request after its handler-side step.
+pub(crate) enum Prepared {
+    /// Parsed and converted to the execution the test pins.
+    Check(Box<ParsedTest>),
+    /// Parsed only: the outcome engine answers programs, so a test whose
+    /// postcondition pins nothing (or is absent) still serves.
+    Outcomes {
+        file: String,
+        test: LitmusTest,
+        parse_micros: u64,
+    },
+}
+
+/// One served request: its JSONL payload line, whether it answered the
+/// test (`false` for failure lines), and its per-stage serving time
+/// (rendering the line excluded). Outcome requests charge parsing to
+/// `parse` and the outcome engine to `verdict`.
+#[derive(Debug, Clone)]
+pub struct Reply {
+    /// The payload line (no trailing newline).
+    pub line: String,
+    /// Did the request answer the test?
+    pub ok: bool,
+    /// Serving time per stage.
+    pub stages: StageMicros,
+}
+
+impl Reply {
+    /// A failure reply: the line, and no serving time recorded.
+    pub(crate) fn failed(line: String) -> Reply {
+        Reply {
+            line,
+            ok: false,
+            stages: StageMicros::default(),
+        }
+    }
+}
+
+impl Kind {
+    /// The handler-side step: parse the source (and for checks convert
+    /// it to the pinned execution).
+    pub(crate) fn prepare(self, file: &str, src: &str) -> Result<Prepared, TestFailure> {
+        match self {
+            Kind::Check => parse_request(file, src).map(|t| Prepared::Check(Box::new(t))),
+            Kind::Outcomes => {
+                let span = txmm_obs::span!("serve.parse");
+                let test = parse_litmus(src).map_err(|e| TestFailure::new(file, e))?;
+                Ok(Prepared::Outcomes {
+                    file: file.to_string(),
+                    test,
+                    parse_micros: span.finish(),
+                })
+            }
+        }
+    }
+}
+
+impl Prepared {
+    /// What the daemon routes on: the canonical execution key for a
+    /// check (symmetric variants share a shard's verdict cache), the
+    /// postcondition-free program key for outcomes (every postcondition
+    /// over a program shares its outcome table).
+    pub(crate) fn route_key(&self) -> Vec<u8> {
+        match self {
+            Prepared::Check(t) => canon_key(&t.exec),
+            Prepared::Outcomes { test, .. } => txmm_litmus::program_key(test),
+        }
+    }
+
+    /// The Session-side step. `max_candidates` overrides the session's
+    /// outcome-engine cap for this request (checks ignore it). Time
+    /// since `start` that no named stage recorded is charged to `other`,
+    /// up to (not including) rendering the line.
+    pub(crate) fn answer(
+        &self,
+        session: &mut Session,
+        models: Option<&[ModelRef]>,
+        max_candidates: Option<u128>,
+        start: Instant,
+    ) -> Reply {
+        let elapsed = || start.elapsed().as_micros() as u64;
+        match self {
+            Prepared::Check(t) => {
+                let r = check_parsed(session, t, models);
+                let mut stages = r.stages;
+                stages.absorb_gap(elapsed());
+                Reply {
+                    stages,
+                    ok: true,
+                    line: jsonl_line(&Served::Report(r)),
+                }
+            }
+            Prepared::Outcomes {
+                file,
+                test,
+                parse_micros,
+            } => {
+                let span = txmm_obs::span!("serve.outcomes");
+                let served = match session.outcomes_capped(file, test, models, max_candidates) {
+                    Ok(r) => ServedOutcomes::Report(r),
+                    Err(e) => ServedOutcomes::Failure(TestFailure::new(file, e)),
+                };
+                let mut stages = StageMicros {
+                    parse: *parse_micros,
+                    verdict: span.finish(),
+                    ..StageMicros::default()
+                };
+                stages.absorb_gap(elapsed());
+                Reply {
+                    ok: matches!(served, ServedOutcomes::Report(_)),
+                    line: outcomes_jsonl_line(&served),
+                    stages,
+                }
+            }
+        }
+    }
+}
+
+/// Serve one litmus source of either kind, both steps on the caller's
+/// thread. The reply's stages sum to the serving time, rendering
+/// excluded.
+pub fn serve(
+    session: &mut Session,
+    kind: Kind,
+    file: &str,
+    src: &str,
+    models: Option<&[ModelRef]>,
+) -> Reply {
+    let start = Instant::now();
+    match kind.prepare(file, src) {
+        Ok(p) => p.answer(session, models, None, start),
+        Err(f) => Reply::failed(failure_line(&f)),
+    }
+}
+
+/// [`serve`] a litmus file from disk; an unreadable file is a failure
+/// line.
+pub fn serve_file(
+    session: &mut Session,
+    kind: Kind,
+    path: &Path,
+    models: Option<&[ModelRef]>,
+) -> Reply {
     let file = path.display().to_string();
     match std::fs::read_to_string(path) {
-        Ok(src) => serve_source(session, &file, &src, models),
-        Err(e) => Served::Failure(TestFailure {
-            file,
-            error: e.to_string(),
-        }),
+        Ok(src) => serve(session, kind, &file, &src, models),
+        Err(e) => Reply::failed(failure_line(&TestFailure::new(&file, e))),
     }
 }
 
@@ -290,14 +447,19 @@ pub(crate) fn json_escape(s: &str) -> String {
     out
 }
 
+/// The failure line of either kind: `{"file":…,"error":…}`.
+pub(crate) fn failure_line(f: &TestFailure) -> String {
+    format!(
+        "{{\"file\":\"{}\",\"error\":\"{}\"}}",
+        json_escape(&f.file),
+        json_escape(&f.error)
+    )
+}
+
 /// Render one served result as a JSONL line (no trailing newline).
 pub fn jsonl_line(served: &Served) -> String {
     match served {
-        Served::Failure(f) => format!(
-            "{{\"file\":\"{}\",\"error\":\"{}\"}}",
-            json_escape(&f.file),
-            json_escape(&f.error)
-        ),
+        Served::Failure(f) => failure_line(f),
         Served::Report(r) => {
             let verdicts = r
                 .verdicts
@@ -381,53 +543,6 @@ pub enum ServedOutcomes {
     Failure(TestFailure),
 }
 
-/// Parse a litmus source for the outcome engine. Unlike
-/// [`parse_request`] this does **not** reconstruct a pinned execution —
-/// the outcome engine answers programs whose postcondition pins
-/// nothing (or is absent entirely).
-pub fn parse_outcomes_request(file: &str, src: &str) -> Result<LitmusTest, TestFailure> {
-    parse_litmus(src).map_err(|e| TestFailure {
-        file: file.to_string(),
-        error: e.to_string(),
-    })
-}
-
-/// Serve one litmus source through the outcome engine.
-pub fn serve_outcomes_source(
-    session: &mut Session,
-    file: &str,
-    src: &str,
-    models: Option<&[ModelRef]>,
-) -> ServedOutcomes {
-    let t = match parse_outcomes_request(file, src) {
-        Ok(t) => t,
-        Err(f) => return ServedOutcomes::Failure(f),
-    };
-    match session.outcomes(file, &t, models) {
-        Ok(r) => ServedOutcomes::Report(r),
-        Err(e) => ServedOutcomes::Failure(TestFailure {
-            file: file.to_string(),
-            error: e,
-        }),
-    }
-}
-
-/// Serve one litmus file from disk through the outcome engine.
-pub fn serve_outcomes_file(
-    session: &mut Session,
-    path: &Path,
-    models: Option<&[ModelRef]>,
-) -> ServedOutcomes {
-    let file = path.display().to_string();
-    match std::fs::read_to_string(path) {
-        Ok(src) => serve_outcomes_source(session, &file, &src, models),
-        Err(e) => ServedOutcomes::Failure(TestFailure {
-            file,
-            error: e.to_string(),
-        }),
-    }
-}
-
 /// Render one final state as a compact JSON object: register files,
 /// memory (trailing zeros trimmed), and — only when present —
 /// transaction commit flags and multi-write coherence orders.
@@ -488,11 +603,7 @@ fn outcome_json(o: &Outcome) -> String {
 /// byte-identical to one-shot `txmm outcomes` over the same tests.
 pub fn outcomes_jsonl_line(served: &ServedOutcomes) -> String {
     match served {
-        ServedOutcomes::Failure(f) => format!(
-            "{{\"file\":\"{}\",\"error\":\"{}\"}}",
-            json_escape(&f.file),
-            json_escape(&f.error)
-        ),
+        ServedOutcomes::Failure(f) => failure_line(f),
         ServedOutcomes::Report(r) => {
             let models = r
                 .per_model
@@ -654,6 +765,12 @@ mod tests {
         assert!(f.error.contains("unknown architecture"));
         let line = jsonl_line(&Served::Failure(f));
         assert!(line.starts_with("{\"file\":\"bad.litmus\",\"error\":"));
+        // Both kinds render parse failures as the same line.
+        for kind in [Kind::Check, Kind::Outcomes] {
+            let reply = serve(&mut s, kind, "bad.litmus", "t (Marvel)\n", None);
+            assert!(!reply.ok);
+            assert_eq!(reply.line, line, "{kind:?}");
+        }
     }
 
     #[test]
@@ -677,8 +794,15 @@ mod tests {
     fn outcomes_jsonl_shape() {
         let mut s = Session::new();
         let filter = [s.resolve("SC").unwrap(), s.resolve("x86").unwrap()];
-        let served = serve_outcomes_source(&mut s, "sb.litmus", &sb_source(), Some(&filter));
-        let line = outcomes_jsonl_line(&served);
+        let reply = serve(
+            &mut s,
+            Kind::Outcomes,
+            "sb.litmus",
+            &sb_source(),
+            Some(&filter),
+        );
+        assert!(reply.ok);
+        let line = reply.line;
         assert!(line.contains("\"name\":\"sb\""), "{line}");
         assert!(line.contains("\"candidates\":4"), "{line}");
         assert!(line.contains("\"classes\":3"), "{line}");
@@ -687,26 +811,34 @@ mod tests {
         assert!(line.contains("\"regs\":[[0],[0]],\"mem\":[1,1]"), "{line}");
         assert!(!line.contains('\n'));
         assert!(crate::protocol::parse_json(&line).is_ok(), "{line}");
+        // The outcome engine's time is charged to the verdict stage.
+        assert!(reply.stages.verdict > 0, "{:?}", reply.stages);
         // Deterministic: serving again renders the same bytes.
-        let again = serve_outcomes_source(&mut s, "sb.litmus", &sb_source(), Some(&filter));
-        assert_eq!(line, outcomes_jsonl_line(&again));
+        let again = serve(
+            &mut s,
+            Kind::Outcomes,
+            "sb.litmus",
+            &sb_source(),
+            Some(&filter),
+        );
+        assert_eq!(line, again.line);
     }
 
     #[test]
     fn outcomes_serves_postcondition_free_sources() {
-        // A program with no Test: line cannot be pinned (`check` path)
-        // but the outcome engine still answers.
+        // A program with no Test: line has no postcondition to judge,
+        // but the outcome engine still answers its final states.
         let src = "free (x86)\nthread 0:\n  x <- 1\nthread 1:\n  r0 <- x\n";
         let mut s = Session::new();
         let sc = [s.resolve("SC").unwrap()];
-        let served = serve_outcomes_source(&mut s, "free.litmus", src, Some(&sc));
-        let ServedOutcomes::Report(r) = served else {
-            panic!("must serve");
-        };
+        let reply = serve(&mut s, Kind::Outcomes, "free.litmus", src, Some(&sc));
+        assert!(reply.ok, "{}", reply.line);
+        assert!(reply.line.contains("\"post\":null"), "{}", reply.line);
+        let r = s
+            .outcomes("free.litmus", &parse_litmus(src).unwrap(), Some(&sc))
+            .expect("serves");
         assert_eq!(r.per_model[0].post_allowed, None);
         assert_eq!(r.per_model[0].allowed.len(), 2, "r0 ∈ {{0, 1}}");
-        let line = outcomes_jsonl_line(&ServedOutcomes::Report(r));
-        assert!(line.contains("\"post\":null"), "{line}");
     }
 
     #[test]

@@ -202,6 +202,38 @@ pub struct SessionStats {
     pub compile_micros: u64,
 }
 
+impl SessionStats {
+    /// Every counter as `(stats key, value)`, in the order the daemon's
+    /// `stats` answer lists them. Each `_misses` counter directly
+    /// follows its `_hits` twin.
+    pub(crate) fn counters(&self) -> [(&'static str, u64); 22] {
+        [
+            ("interned", self.interned as u64),
+            ("verdict_hits", self.verdict_hits),
+            ("verdict_misses", self.verdict_misses),
+            ("observability_hits", self.observability_hits),
+            ("observability_misses", self.observability_misses),
+            ("outcome_entries", self.outcome_entries as u64),
+            ("outcome_hits", self.outcome_hits),
+            ("outcome_misses", self.outcome_misses),
+            ("outcome_candidates", self.outcome_candidates),
+            ("outcome_classes", self.outcome_classes),
+            ("compile_hits", self.compile_hits),
+            ("compile_misses", self.compile_misses),
+            ("compile_entries", self.compile_entries),
+            ("compile_micros", self.compile_micros),
+            ("prune_subtrees_cut", self.prune_subtrees_cut),
+            ("prune_candidates_skipped", self.prune_candidates_skipped),
+            ("prune_oracle_calls", self.prune_oracle_calls),
+            ("prune_oracle_micros", self.prune_oracle_micros),
+            ("prune_delta_answers", self.prune_delta_answers),
+            ("prune_fallbacks", self.prune_fallbacks),
+            ("prune_batches", self.prune_batches),
+            ("prune_batched_placements", self.prune_batched_placements),
+        ]
+    }
+}
+
 /// The session's cache counters as registry handles. Every `Session`
 /// creates its own handles (the registry sums live handles of a series
 /// for global exposition, so N shard sessions aggregate there) while

@@ -12,9 +12,7 @@ use std::thread;
 use common::{corpus, roundtrip, start_daemon};
 use txmm::daemon::{Daemon, ListenAddr, PoolConfig, SessionPool};
 use txmm::protocol::Request;
-use txmm::serve::{
-    jsonl_line, outcomes_jsonl_line, serve_file, serve_outcomes_source, serve_source,
-};
+use txmm::serve::{jsonl_line, serve, serve_file, serve_source, Kind};
 use txmm::session::Session;
 
 #[test]
@@ -92,7 +90,7 @@ fn batch_request_matches_one_shot_directory_serve() {
     let mut session = Session::new();
     let expect: Vec<String> = files
         .iter()
-        .map(|f| jsonl_line(&serve_file(&mut session, f, None)))
+        .map(|f| serve_file(&mut session, Kind::Check, f, None).line)
         .collect();
 
     let (addr, server) = start_daemon(3);
@@ -121,7 +119,7 @@ fn outcomes_requests_byte_identical_to_one_shot() {
     let mut session = Session::new();
     let expect: Vec<String> = corpus
         .iter()
-        .map(|(f, s)| outcomes_jsonl_line(&serve_outcomes_source(&mut session, f, s, None)))
+        .map(|(f, s)| serve(&mut session, Kind::Outcomes, f, s, None).line)
         .collect();
 
     let (addr, server) = start_daemon(3);

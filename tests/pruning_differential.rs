@@ -145,7 +145,7 @@ fn cheap_spaces_at_four_events() {
 /// pruned walk never materialises classes its oracle refutes.)
 #[test]
 fn outcome_tables_agree_with_unpruned_session() {
-    use txmm::serve::{serve_outcomes_source, ServedOutcomes};
+    use txmm::litmus::parse_litmus;
     use txmm::session::Session;
 
     let corpus = txmm::corpus::generate(3);
@@ -160,15 +160,16 @@ fn outcome_tables_agree_with_unpruned_session() {
 
     for (name, src) in &corpus {
         let file = format!("{name}.litmus");
-        let a = serve_outcomes_source(&mut pruned, &file, src, None);
-        let b = serve_outcomes_source(&mut unpruned, &file, src, None);
+        let t = parse_litmus(src).expect("corpus sources parse");
+        let a = pruned.outcomes(&file, &t, None);
+        let b = unpruned.outcomes(&file, &t, None);
         match (a, b) {
-            (ServedOutcomes::Report(a), ServedOutcomes::Report(b)) => {
+            (Ok(a), Ok(b)) => {
                 assert_eq!(a.candidates, b.candidates, "{name}: candidate counts");
                 assert_eq!(a.per_model, b.per_model, "{name}: per-model answers");
             }
-            (ServedOutcomes::Failure(a), ServedOutcomes::Failure(b)) => {
-                assert_eq!(a.error, b.error, "{name}: refusals must match");
+            (Err(a), Err(b)) => {
+                assert_eq!(a, b, "{name}: refusals must match");
             }
             _ => panic!("{name}: one path served, the other refused"),
         }
@@ -238,7 +239,7 @@ fn delta_viability_matches_recompute_at_four_events() {
 /// scheduling may reorder *work*, never *output*.
 #[test]
 fn parallel_mask_walk_is_byte_identical_to_sequential() {
-    use txmm::serve::{outcomes_jsonl_line, serve_outcomes_source};
+    use txmm::serve::{serve, Kind};
     use txmm::session::Session;
 
     let corpus = txmm::corpus::generate(3);
@@ -254,8 +255,8 @@ fn parallel_mask_walk_is_byte_identical_to_sequential() {
 
     for (name, src) in &corpus {
         let file = format!("{name}.litmus");
-        let a = outcomes_jsonl_line(&serve_outcomes_source(&mut seq, &file, src, None));
-        let b = outcomes_jsonl_line(&serve_outcomes_source(&mut par, &file, src, None));
+        let a = serve(&mut seq, Kind::Outcomes, &file, src, None).line;
+        let b = serve(&mut par, Kind::Outcomes, &file, src, None).line;
         assert_eq!(a, b, "{name}: parallel walk diverged from sequential");
     }
 }
