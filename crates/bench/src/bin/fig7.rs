@@ -40,10 +40,11 @@ fn main() {
         return;
     }
     println!(
-        "{} tests found; total synthesis time {:.2}s ({} candidates examined)\n",
+        "{} tests found; total synthesis time {:.2}s ({} candidates examined, {} skipped by pruning)\n",
         n,
         total.as_secs_f64(),
-        r.candidates
+        r.candidates,
+        r.prune.candidates_skipped
     );
 
     // ASCII cumulative curve: 50 columns of time, 20 rows of percentage.

@@ -147,9 +147,9 @@ struct Walk<'a> {
     /// `co_suffix[l]` = co orderings over locations `l..` (`m_l!`
     /// suffix product; last entry 1).
     co_suffix: Vec<u64>,
-    /// `rf_suffix[i]` = rf assignments over reads `i..` (option-count
-    /// suffix product; last entry 1).
-    rf_suffix: Vec<u64>,
+    /// `rf_prefix[i]` = rf assignments over reads `..i` (option-count
+    /// prefix product; first entry 1).
+    rf_prefix: Vec<u64>,
     /// Leaf candidates per complete rf/co assignment (txn layouts ×
     /// atomic flag).
     txn_leaves: u64,
@@ -184,9 +184,9 @@ impl<'a> Walk<'a> {
         for l in (0..space.loc_writes.len()).rev() {
             co_suffix[l] = co_suffix[l + 1].saturating_mul(fact[space.loc_writes[l].len()]);
         }
-        let mut rf_suffix = vec![1u64; space.reads.len() + 1];
-        for i in (0..space.reads.len()).rev() {
-            rf_suffix[i] = rf_suffix[i + 1].saturating_mul(space.rf_options[i].len() as u64);
+        let mut rf_prefix = vec![1u64; space.reads.len() + 1];
+        for i in 0..space.reads.len() {
+            rf_prefix[i + 1] = rf_prefix[i].saturating_mul(space.rf_options[i].len() as u64);
         }
         Walk {
             oracle,
@@ -194,7 +194,7 @@ impl<'a> Walk<'a> {
             read_loc_writes,
             fact,
             co_suffix,
-            rf_suffix,
+            rf_prefix,
             txn_leaves: space.txn_leaves(cfg),
         }
     }
@@ -218,11 +218,15 @@ impl<'a> Walk<'a> {
         }
     }
 
-    /// Assign read `i`'s rf source, then recurse; a non-viable
-    /// assignment cuts every candidate below it. All sibling options
-    /// are probed first — the ones the delta state cannot decide are
-    /// materialised and judged in one batched oracle call — and only
-    /// then do the viable ones recurse, in the original option order.
+    /// Assign the rf sources of reads `..i`, last to first, then
+    /// recurse into co; a non-viable assignment cuts every candidate
+    /// below it. Read 0 is assigned innermost, so it varies fastest —
+    /// the odometer order of the unpruned enumerator, which makes the
+    /// survivors come out in exactly [`crate::enumerate`]'s order. All
+    /// sibling options are probed first — the ones the delta state
+    /// cannot decide are materialised and judged in one batched oracle
+    /// call — and only then do the viable ones recurse, in the original
+    /// option order.
     fn rf(
         &self,
         i: usize,
@@ -230,10 +234,11 @@ impl<'a> Walk<'a> {
         st: &mut PruneStats,
         leaf: &mut dyn FnMut(&Execution),
     ) {
-        if i == self.space.reads.len() {
+        if i == 0 {
             self.co(0, pc, st, leaf);
             return;
         }
+        let i = i - 1;
         let r = self.space.reads[i];
         let opts = &self.space.rf_options[i];
         let mut viable_mask = 0u64;
@@ -268,12 +273,12 @@ impl<'a> Walk<'a> {
         for (j, &opt) in opts.iter().enumerate() {
             if viable_mask & (1 << j) != 0 {
                 self.apply_rf(i, r, opt, pc);
-                self.rf(i + 1, pc, st, leaf);
+                self.rf(i, pc, st, leaf);
                 pc.rewind();
             } else {
                 self.cut(
                     st,
-                    self.rf_suffix[i + 1]
+                    self.rf_prefix[i]
                         .saturating_mul(self.co_suffix[0])
                         .saturating_mul(self.txn_leaves),
                 );
@@ -432,13 +437,13 @@ fn pruned_structures(
             if !pc.viable(oracle, st) {
                 walk.cut(
                     st,
-                    walk.rf_suffix[0]
+                    walk.rf_prefix[space.reads.len()]
                         .saturating_mul(walk.co_suffix[0])
                         .saturating_mul(walk.txn_leaves),
                 );
                 return;
             }
-            walk.rf(0, &mut pc, st, &mut |x| {
+            walk.rf(space.reads.len(), &mut pc, st, &mut |x| {
                 // One clone per completed rf/co assignment; the layouts
                 // cycle through it via `set_txns`.
                 let mut y = x.clone();

@@ -419,6 +419,13 @@ pub type CandSeq = (u64, u32);
 /// full model, e.g. through a [`crate::LeafChecker`], to recover exactly
 /// the consistent classes).
 ///
+/// Order guarantee: pruning only removes candidates, it never reorders
+/// them. Within a subtree the survivors reach `visit` in the relative
+/// order [`enumerate`] emits them (rmw, deps, rf with read 0 varying
+/// fastest, co, transaction layouts), so sorting by [`CandSeq`] gives
+/// `enumerate` followed by a filter, element for element, whatever the
+/// oracle and the worker count.
+///
 /// Each worker owns a private state built by `init`. The states come
 /// back in worker order with the merged prune counters (all zero without
 /// an oracle) and the pool counters, and [`CandSeq`] orders the results

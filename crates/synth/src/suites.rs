@@ -1,24 +1,32 @@
 //! Conformance-suite synthesis (§4.2): the minimally-forbidden
 //! ("Forbid") and maximally-allowed ("Allow") test sets of Table 1.
 //!
-//! Synthesis consumes the streaming enumerator on the work-stealing
-//! pool: candidates are checked against the models on whichever worker
-//! enumerates them — no buffering wave, no per-candidate clone of the
-//! space, and one shared [`txmm_core::ExecutionAnalysis`] per
-//! candidate. Found tests carry their position in the sequential
-//! enumeration order, so the Forbid suite comes out in the exact order
-//! the sequential pipeline would produce after a final sort of the
-//! (tiny) result set. With one worker the sweep is the sequential
-//! reference ([`synthesise_seq`]).
+//! Synthesis runs the one enumeration [`walk`] on the work-stealing
+//! pool, pruned by the baseline model's transaction-agnostic oracle. A
+//! Forbid test needs the baseline to allow it with its transactions
+//! erased, and the oracle only cuts rf/co subtrees in which no
+//! completion — with any transaction layout, the empty one included —
+//! is baseline-consistent, so the cut subtrees hold no Forbid test.
+//! Survivors are judged on whichever worker reaches them, against the
+//! transactional model through a per-worker [`LeafChecker`] (the
+//! layouts of one rf/co assignment share their txn-independent
+//! analysis slots). The pruned walk emits survivors in the unpruned
+//! enumeration order and found tests carry their [`CandSeq`], so the
+//! Forbid suite comes out in the exact order of the sequential
+//! unpruned pipeline after a final sort of the (tiny) result set. With
+//! one worker the sweep is the sequential reference
+//! ([`synthesise_seq`]).
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use txmm_core::canon::canon_key;
+use txmm_core::incr::PruneStats;
 use txmm_core::Execution;
 use txmm_models::Model;
 
+use crate::consistent::LeafChecker;
 use crate::enumerate::{walk, CandSeq, EnumConfig};
 use crate::steal::worker_count;
 use crate::weaken::weakenings;
@@ -40,8 +48,13 @@ pub struct SuiteResult {
     /// False when the time budget ran out before the space was covered
     /// (the paper's "non-exhaustive" marker).
     pub complete: bool,
-    /// How many candidate executions were examined.
+    /// How many candidate executions were examined after pruning: the
+    /// walk's survivors that reached the Forbid test before the budget
+    /// ran out.
     pub candidates: usize,
+    /// The walk's prune counters: `candidates_skipped` are the
+    /// candidates the baseline's oracle ruled out without building them.
+    pub prune: PruneStats,
     /// Total synthesis time.
     pub elapsed: Duration,
 }
@@ -76,8 +89,12 @@ pub fn synthesise_streamed(
 }
 
 /// The synthesis sweep behind every entry point: [`synthesise_streamed`]
-/// with optional live progress. Candidates examined and Forbid tests
-/// found (as "classes kept") flush into `progress` as the walk runs.
+/// with optional live progress. Candidates examined, prune cuts and
+/// Forbid tests found (as "classes kept") flush into `progress` as the
+/// walk runs.
+///
+/// The walk is pruned by `base`'s transaction-agnostic oracle (see the
+/// module docs); a baseline without one walks the space unpruned.
 pub fn synthesise_streamed_progress(
     cfg: &EnumConfig,
     tm: &dyn Model,
@@ -90,21 +107,21 @@ pub fn synthesise_streamed_progress(
     let candidates = AtomicUsize::new(0);
     let overrun = AtomicBool::new(false);
 
-    let (states, _, _) = walk(
+    let (states, prune, _) = walk(
         cfg,
-        None,
+        base.prune_oracle(false),
         workers,
         progress,
-        |_| Vec::new(),
-        |seq, x, found: &mut Vec<(CandSeq, FoundTest)>| {
-            candidates.fetch_add(1, Ordering::Relaxed);
+        |_| (Vec::new(), LeafChecker::new(tm)),
+        |seq, x, (found, check): &mut (Vec<(CandSeq, FoundTest)>, LeafChecker)| {
             if let Some(b) = budget {
                 if overrun.load(Ordering::Relaxed) || start.elapsed() > b {
                     overrun.store(true, Ordering::Relaxed);
                     return;
                 }
             }
-            if let Some(f) = forbid_test(cfg, tm, base, x) {
+            candidates.fetch_add(1, Ordering::Relaxed);
+            if let Some(f) = forbid_test(cfg, tm, check, base, x) {
                 if let Some(p) = progress {
                     p.add_classes(1);
                 }
@@ -118,7 +135,8 @@ pub fn synthesise_streamed_progress(
             }
         },
     );
-    let mut stamped: Vec<(CandSeq, FoundTest)> = states.into_iter().flatten().collect();
+    let mut stamped: Vec<(CandSeq, FoundTest)> =
+        states.into_iter().flat_map(|(found, _)| found).collect();
     stamped.sort_by_key(|(seq, _)| *seq);
     let forbid: Vec<FoundTest> = stamped.into_iter().map(|(_, f)| f).collect();
     let complete = !overrun.load(Ordering::Relaxed);
@@ -139,6 +157,7 @@ pub fn synthesise_streamed_progress(
         allow,
         complete,
         candidates: candidates.into_inner(),
+        prune,
         elapsed: start.elapsed(),
     }
 }
@@ -154,17 +173,19 @@ pub fn synthesise_seq(
 }
 
 /// Is `x` a Forbid test (conditions (a)–(d) above)? Returns the
-/// execution to record.
+/// execution to record. `check` is the worker's [`LeafChecker`] for
+/// `tm`, so the layouts of one rf/co assignment share analysis slots.
 fn forbid_test(
     cfg: &EnumConfig,
     tm: &dyn Model,
+    check: &mut LeafChecker,
     base: &dyn Model,
     x: &Execution,
 ) -> Option<Execution> {
     if x.txns().is_empty() {
         return None;
     }
-    if tm.consistent(x) {
+    if check.consistent(x) {
         return None;
     }
     if !base.consistent(&x.erase_txns()) {
@@ -292,6 +313,23 @@ mod tests {
         );
         let allow_keys = |r: &SuiteResult| r.allow.iter().map(canon_key).collect::<Vec<_>>();
         assert_eq!(allow_keys(&par), allow_keys(&seq));
+    }
+
+    #[test]
+    fn expired_budget_counts_no_skipped_candidates() {
+        // A budget that has run out before the first candidate: the run
+        // is non-exhaustive, and the candidates it never reached are not
+        // reported as examined.
+        let cfg = x86_cfg(3);
+        let full = synthesise_seq(&cfg, &X86::tm(), &X86::base(), None);
+        let r = synthesise_seq(&cfg, &X86::tm(), &X86::base(), Some(Duration::ZERO));
+        assert!(!r.complete);
+        assert!(r.candidates < crate::enumerate::count(&cfg));
+        assert!(r.candidates < full.candidates);
+        assert!(
+            full.prune.candidates_skipped > 0,
+            "the baseline never pruned"
+        );
     }
 
     #[test]

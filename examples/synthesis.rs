@@ -30,8 +30,9 @@ fn main() {
     println!("synthesising x86 Forbid/Allow suites at |E| = {events} ...");
     let r = synthesise(&cfg, &X86::tm(), &X86::base(), None);
     println!(
-        "{} candidates -> {} Forbid, {} Allow ({:.2}s, {})\n",
+        "{} candidates examined ({} skipped by pruning) -> {} Forbid, {} Allow ({:.2}s, {})\n",
         r.candidates,
+        r.prune.candidates_skipped,
         r.forbid.len(),
         r.allow.len(),
         r.elapsed.as_secs_f64(),

@@ -6,10 +6,12 @@
 //! differential suite.
 //!
 //! The CI `enumeration-smoke` job runs this in release mode including
-//! the `#[ignore]`d heavyweight bounds.
+//! the `#[ignore]`d heavyweight bounds. The `synthesis` goldens pin the
+//! T columns of Table 1 (Forbid and Allow suite sizes).
 
 use txmm::models::{Arch, Armv8, Model, Power, X86};
-use txmm::synth::{count_consistent_par_progress, count_par, worker_count, EnumConfig};
+use txmm::synth::{count_consistent_par_progress, count_par, synthesise, worker_count, EnumConfig};
+use txmm_bench::table1_config;
 
 fn golden(arch: Arch, events: usize, expect: usize) {
     let got = count_par(&EnumConfig::hw(arch, events));
@@ -99,6 +101,41 @@ fn four_event_consistent_count_armv8() {
             candidates pruned); the CI prune-smoke job runs it"]
 fn five_event_consistent_count_power() {
     golden_consistent(Arch::Power, &Power::tm(), 5, 2_479_467_883);
+}
+
+/// Golden Table 1 suite sizes: the Forbid and Allow tests synthesised
+/// for `tm` against `base` over the Table 1 space.
+fn golden_synthesis(
+    arch: Arch,
+    tm: &dyn Model,
+    base: &dyn Model,
+    events: usize,
+    expect: [usize; 2],
+) {
+    let r = synthesise(&table1_config(arch, events), tm, base, None);
+    assert!(r.complete);
+    assert_eq!(
+        [r.forbid.len(), r.allow.len()],
+        expect,
+        "{arch:?} |E|={events}: Table 1 Forbid/Allow counts drifted"
+    );
+}
+
+#[test]
+fn synthesis_x86_four_events() {
+    golden_synthesis(Arch::X86, &X86::tm(), &X86::base(), 4, [22, 92]);
+}
+
+#[test]
+#[ignore = "seconds in release; the CI prune-smoke job runs it"]
+fn synthesis_x86_five_events() {
+    golden_synthesis(Arch::X86, &X86::tm(), &X86::base(), 5, [36, 204]);
+}
+
+#[test]
+#[ignore = "~10 s in release on two cores; the CI prune-smoke job runs it"]
+fn synthesis_power_four_events() {
+    golden_synthesis(Arch::Power, &Power::tm(), &Power::base(), 4, [60, 184]);
 }
 
 // ---- ARMv8 |E| = 5 and |E| = 6: measure-and-pin harnesses ------------

@@ -9,6 +9,11 @@
 //!   [`enumerate`] + `model.consistent`): six model spaces at |E| = 3
 //!   in the regular suite, the cheap spaces at |E| = 4 behind
 //!   `#[ignore]` for the CI `prune-smoke` release job.
+//! * **Table 1 synthesis** ([`synthesise_streamed`], pruned by the
+//!   baseline's oracle, vs [`enumerate`] filtered through the Forbid
+//!   conditions and the Allow rule): the same ordered Forbid and Allow
+//!   lists on 1 and 3 workers for every (tm, baseline) pair at |E| = 3,
+//!   x86 and SC-TSC at |E| = 4 behind `#[ignore]`.
 //! * **Outcome tables** (pruned Session vs `set_prune(false)`): the
 //!   per-model allowed sets, postcondition verdicts and closed-form
 //!   candidate counts must agree over the generated corpus, including
@@ -22,8 +27,10 @@ use std::collections::HashSet;
 use txmm::core::{canon_key, ExecutionAnalysis, PruneOracle};
 use txmm::models::{Arch, Armv8, Cpp, Model, Power, Sc, Tsc, X86};
 use txmm::synth::{
-    count_consistent_par_progress, enumerate, oracle_for, visit_pruned_par, EnumConfig, LeafChecker,
+    count_consistent_par_progress, enumerate, oracle_for, synthesise_streamed, visit_pruned_par,
+    weakenings, EnumConfig, LeafChecker,
 };
+use txmm_bench::table1_config;
 
 type Space = (&'static str, EnumConfig, Vec<Box<dyn Model>>);
 
@@ -73,7 +80,8 @@ fn spaces(events: usize) -> Vec<Space> {
 }
 
 /// The pruned stream equals plain enumerate-then-filter, class for
-/// class, and the oracle was actually consulted along the way.
+/// class and in the same order, and the oracle was actually consulted
+/// along the way.
 fn assert_pruned_matches_filtered(name: &str, cfg: &EnumConfig, model: &dyn Model) {
     let (states, st, _) = visit_pruned_par(
         cfg,
@@ -86,24 +94,26 @@ fn assert_pruned_matches_filtered(name: &str, cfg: &EnumConfig, model: &dyn Mode
             }
         },
     );
-    let pruned = states.iter().map(|(keys, _)| keys.len()).sum::<usize>();
-    let pruned_keys: HashSet<Vec<u8>> = states.into_iter().flat_map(|(keys, _)| keys).collect();
+    let pruned_keys: Vec<Vec<u8>> = states.into_iter().flat_map(|(keys, _)| keys).collect();
     assert_eq!(
-        pruned,
+        pruned_keys.iter().collect::<HashSet<_>>().len(),
         pruned_keys.len(),
         "{name}: pruned stream emitted a duplicate class"
     );
 
-    let mut plain_keys = HashSet::new();
+    let mut plain_keys = Vec::new();
     enumerate(cfg, &mut |x| {
         if model.consistent(x) {
-            plain_keys.insert(canon_key(x));
+            plain_keys.push(canon_key(x));
         }
     });
 
-    assert_eq!(
-        pruned_keys, plain_keys,
-        "{name}: pruned and filtered consistent-class sets differ"
+    assert!(
+        pruned_keys == plain_keys,
+        "{name}: pruned and filtered consistent-class streams differ \
+         ({} vs {} classes, or the order diverged)",
+        pruned_keys.len(),
+        plain_keys.len()
     );
     if model.prune_oracle(false).is_some() {
         // Exact delta plans answer every probe incrementally, so the
@@ -136,6 +146,90 @@ fn cheap_spaces_at_four_events() {
             assert_pruned_matches_filtered(name, &cfg, model.as_ref());
         }
     }
+}
+
+/// The (transactional model, baseline) pair the synthesiser runs on
+/// `arch`.
+fn synthesis_pair(arch: Arch) -> (Box<dyn Model>, Box<dyn Model>) {
+    match arch {
+        Arch::Sc => (Box::new(Tsc), Box::new(Sc)),
+        Arch::X86 => (Box::new(X86::tm()), Box::new(X86::base())),
+        Arch::Power => (Box::new(Power::tm()), Box::new(Power::base())),
+        Arch::Armv8 => (Box::new(Armv8::tm()), Box::new(Armv8::base())),
+        Arch::Cpp => (Box::new(Cpp::tm()), Box::new(Cpp::base())),
+    }
+}
+
+/// The unpruned reference: `enumerate` filtered through the four Forbid
+/// conditions — a transaction, forbidden by `tm`, allowed by `base` with
+/// transactions erased, every one-step weakening `tm`-consistent — then
+/// the Allow rule: the `tm`-consistent weakenings of the Forbid tests,
+/// deduplicated. Returns the ordered canonical keys of both lists.
+fn reference_suite(
+    cfg: &EnumConfig,
+    tm: &dyn Model,
+    base: &dyn Model,
+) -> (Vec<Vec<u8>>, Vec<Vec<u8>>) {
+    let mut forbid = Vec::new();
+    enumerate(cfg, &mut |x| {
+        if !x.txns().is_empty()
+            && !tm.consistent(x)
+            && base.consistent(&x.erase_txns())
+            && weakenings(x, cfg.arch).iter().all(|w| tm.consistent(w))
+        {
+            forbid.push(x.clone());
+        }
+    });
+    let mut allow = Vec::new();
+    let mut seen = HashSet::new();
+    for w in forbid.iter().flat_map(|f| weakenings(f, cfg.arch)) {
+        if tm.consistent(&w) && seen.insert(canon_key(&w)) {
+            allow.push(canon_key(&w));
+        }
+    }
+    (forbid.iter().map(canon_key).collect(), allow)
+}
+
+/// Pruned synthesis on 1 and 3 workers yields the reference's Forbid
+/// and Allow lists, test for test and in order.
+fn assert_synthesis_matches_reference(events: usize, archs: &[Arch]) {
+    for &arch in archs {
+        let cfg = table1_config(arch, events);
+        let (tm, base) = synthesis_pair(arch);
+        let (tm, base) = (tm.as_ref(), base.as_ref());
+        let (forbid, allow) = reference_suite(&cfg, tm, base);
+        assert!(!forbid.is_empty(), "{}: no Forbid tests", tm.name());
+        for workers in [1, 3] {
+            let r = synthesise_streamed(&cfg, tm, base, None, workers);
+            assert!(r.complete);
+            let got: Vec<Vec<u8>> = r.forbid.iter().map(|f| canon_key(&f.exec)).collect();
+            assert!(
+                got == forbid,
+                "{} on {workers} workers: Forbid list differs",
+                tm.name()
+            );
+            let got: Vec<Vec<u8>> = r.allow.iter().map(canon_key).collect();
+            assert!(
+                got == allow,
+                "{} on {workers} workers: Allow list differs",
+                tm.name()
+            );
+        }
+    }
+}
+
+#[test]
+fn synthesis_matches_filtered_enumeration_at_three_events() {
+    assert_synthesis_matches_reference(
+        3,
+        &[Arch::Sc, Arch::X86, Arch::Power, Arch::Armv8, Arch::Cpp],
+    );
+}
+
+#[test]
+#[ignore = "tens of seconds in debug; the CI prune-smoke job runs it in release"]
+fn synthesis_matches_filtered_enumeration_at_four_events() {
+    assert_synthesis_matches_reference(4, &[Arch::Sc, Arch::X86]);
 }
 
 /// Outcome tables: a pruned Session and a `set_prune(false)` Session
