@@ -1,6 +1,7 @@
 //! Consistency-guided pruning: pruned enumeration vs naive
 //! enumerate-then-filter, per architecture, plus pruned outcome-table
-//! throughput over the generated corpus.
+//! throughput over the generated corpus against the enumerate-then-
+//! filter reference pass.
 //!
 //! The headline prints before the criterion measurements:
 //!
@@ -12,6 +13,7 @@
 use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use txmm::litmus::{candidates, parse_litmus};
 use txmm::serve::{serve, Kind};
 use txmm::session::Session;
 use txmm_models::{Arch, Armv8, Model, Power, Sc, X86};
@@ -129,6 +131,21 @@ fn outcome_pass(session: &mut Session, corpus: &[(String, String)]) -> usize {
     bytes
 }
 
+/// The enumerate-then-filter reference for the same tables: every
+/// corpus program's candidates through `candidates()`, every native
+/// model's full check on each. Returns the consistent-candidate count.
+fn reference_pass(models: &[Box<dyn Model>], corpus: &[(String, String)]) -> usize {
+    let mut consistent = 0usize;
+    for (_, src) in corpus {
+        let t = parse_litmus(src).expect("corpus sources parse");
+        let cands = candidates(&t).expect("corpus programs enumerate");
+        for m in models {
+            consistent += cands.iter().filter(|c| m.consistent(&c.exec)).count();
+        }
+    }
+    consistent
+}
+
 fn bench_pruning(c: &mut Criterion) {
     // Quick headlines for every architecture with a native oracle.
     // The README numbers — Power |E| = 4 (3.0x) and single-core x86
@@ -169,9 +186,10 @@ fn bench_pruning(c: &mut Criterion) {
         b.iter(|| count_consistent_par_progress(&x86, &model, worker_count(), None).0)
     });
 
-    // Outcome tables through the pruned per-mask walk vs the exhaustive
-    // shared table (`set_prune(false)`), cold Session per iteration.
+    // Outcome tables through the Session's pruned per-mask walk (cold
+    // Session per iteration) vs the enumerate-then-filter reference.
     let corpus = corpus();
+    let models = txmm_models::registry::all_models();
     c.bench_function("pruning/outcomes-pruned", |b| {
         b.iter(|| {
             let mut s = Session::new();
@@ -179,11 +197,7 @@ fn bench_pruning(c: &mut Criterion) {
         })
     });
     c.bench_function("pruning/outcomes-table", |b| {
-        b.iter(|| {
-            let mut s = Session::new();
-            s.set_prune(false);
-            outcome_pass(&mut s, &corpus)
-        })
+        b.iter(|| reference_pass(&models, &corpus))
     });
 }
 

@@ -780,6 +780,53 @@ impl PartialCandidate {
         (self.x.clone(), self.fr)
     }
 
+    /// The sibling-probe step of every pruned walk: open a choice point
+    /// ([`mark`][Self::mark]), apply each `(bit, choice)` sibling with
+    /// `apply` (which returns whether it added edges worth checking),
+    /// probe it and rewind. Siblings the delta state cannot decide are
+    /// materialised and judged in one batched oracle call. Returns the
+    /// viability mask over the siblings' bits; the choice point stays
+    /// live, so the caller rewinds after each branch it takes and
+    /// [`release`][Self::release]s when done.
+    pub fn probe_siblings<C>(
+        &mut self,
+        oracle: &dyn PruneOracle,
+        stats: &mut PruneStats,
+        siblings: impl Iterator<Item = (usize, C)>,
+        mut apply: impl FnMut(&mut PartialCandidate, C) -> bool,
+    ) -> u64 {
+        let mut viable = 0u64;
+        let mut pend_bits: Vec<usize> = Vec::new();
+        let mut batch: Vec<(Execution, Rel)> = Vec::new();
+        self.mark();
+        for (bit, choice) in siblings {
+            let verdict = if apply(self, choice) {
+                self.probe(oracle, stats)
+            } else {
+                Some(true) // no new edges: nothing to check
+            };
+            match verdict {
+                Some(true) => viable |= 1 << bit,
+                Some(false) => {}
+                None => {
+                    pend_bits.push(bit);
+                    batch.push(self.materialise());
+                }
+            }
+            self.rewind();
+        }
+        if !batch.is_empty() {
+            stats.record_batch(batch.len());
+            let bits = judge_batch(oracle, &batch, stats);
+            for (b, &bit) in pend_bits.iter().enumerate() {
+                if bits & (1 << b) != 0 {
+                    viable |= 1 << bit;
+                }
+            }
+        }
+        viable
+    }
+
     /// Run the oracle on the current partial state, counting the call
     /// into `stats`. The coherence gate and the delta plan
     /// short-circuit when they can.

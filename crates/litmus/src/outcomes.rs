@@ -31,8 +31,8 @@
 use std::collections::HashMap;
 
 use txmm_core::{
-    judge_batch, Event, EventId, EventSet, Execution, Loc, PartialCandidate, PruneOracle,
-    PruneStats, Rel, TxnClass, MAX_EVENTS,
+    Event, EventId, EventSet, Execution, Loc, PartialCandidate, PruneOracle, PruneStats, Rel,
+    TxnClass, MAX_EVENTS,
 };
 
 use crate::ast::{AccessMode, DepKind, LitmusTest, Op};
@@ -325,9 +325,10 @@ pub struct Candidate {
 /// over the `2^txns` abort splits (aborted transactions shrink both
 /// factors). Cheap and **saturating**: programs whose count exceeds
 /// `u128::MAX` — or whose abort-split count alone would take longer to
-/// sum than any caller's cap admits — report `u128::MAX`, which every
-/// sane cap refuses. This is what lets servers refuse oversized
-/// programs before enumerating anything.
+/// sum than any caller's cap admits — report `u128::MAX`, a "too many
+/// to count" sentinel rather than a count, which servers refuse under
+/// any cap. This is what lets them refuse oversized programs before
+/// enumerating anything.
 pub fn candidate_count(t: &LitmusTest) -> Result<u128, LitmusConvertError> {
     let sk = ProgramSkeleton::from_litmus(t)?;
     // Every abort split contributes at least one candidate, so past 20
@@ -520,6 +521,32 @@ impl MaskedProgram {
             self.txns.clone(),
         )
     }
+
+    /// Apply rf choice `choice` for read `i` (0 = initial value, which
+    /// is `fr`-before `ws`, the committed writes at its location).
+    /// Returns the value read and whether the choice added any edges
+    /// worth checking.
+    fn apply_rf(
+        &self,
+        pc: &mut PartialCandidate,
+        i: usize,
+        ws: EventSet,
+        choice: usize,
+    ) -> (u32, bool) {
+        let rnew = self.reads[i].0;
+        match choice.checked_sub(1) {
+            None => {
+                pc.assign_init_read(rnew, ws);
+                (0, !ws.is_empty())
+            }
+            Some(k) => {
+                let lw = self.read_lw[i].expect("choice > 0 needs live writes");
+                let (v, w) = self.live_writes[lw].1[k];
+                pc.assign_rf(w, rnew);
+                (v, true)
+            }
+        }
+    }
 }
 
 /// Enumerate every candidate execution of the program, calling `f` once
@@ -691,63 +718,6 @@ fn fact64(n: usize) -> u64 {
     out
 }
 
-/// Enumerate only the candidates the model's [`PruneOracle`] cannot
-/// rule out, abandoning doomed subtrees the moment a partial
-/// `rf`/`co` assignment (or a whole abort split) closes a forbidden
-/// cycle. Every candidate the oracle's model finds consistent **is**
-/// visited — oracles are conservative, so pruning never loses an
-/// allowed outcome — but `f` may also see candidates a full check
-/// would reject (the oracle only runs the monotone fragment), so
-/// callers must still verdict what they keep. Returns the visit count
-/// and the [`PruneStats`] describing the work avoided.
-///
-/// The walk differs from [`enumerate_candidates`] in order (abort
-/// masks *descending*, coherence placements and rf choices depth-
-/// first) but visits a subset of the same candidates: with
-/// [`txmm_core::NoPrune`] it is exactly the plain enumeration,
-/// reordered.
-///
-/// Abort splits are checked once at their root (`rf = co = ∅`); for
-/// [event-monotone](PruneOracle::event_monotone) oracles a dead
-/// split's rejection also kills every split that commits a superset
-/// of its events — those masks are skipped without projecting the
-/// program, which is why masks descend (a superset-committing mask is
-/// numerically smaller).
-pub fn enumerate_candidates_pruned(
-    t: &LitmusTest,
-    oracle: &dyn PruneOracle,
-    f: &mut dyn FnMut(Candidate),
-) -> Result<(usize, PruneStats), LitmusConvertError> {
-    let sk = ProgramSkeleton::from_litmus(t)?;
-    let splits: u128 = 1u128 << sk.txns.len();
-    let mut visited = 0usize;
-    let mut stats = PruneStats::default();
-    let mut dead_masks: Vec<u64> = Vec::new();
-
-    for mask in (0..splits).rev() {
-        let mask = mask as u64;
-        // `mask | d == d` ⟺ aborted(mask) ⊆ aborted(d) ⟺ this split
-        // commits every event (and transaction) the dead split `d`
-        // committed, so `d`'s root rejection carries over. (The
-        // `manual_contains` suggestion is a false positive: `d` is the
-        // closure binding, not a free variable.)
-        #[allow(clippy::manual_contains)]
-        if dead_masks.iter().any(|&d| mask | d == d) {
-            stats.subtrees_cut += 1;
-            stats.candidates_skipped = stats
-                .candidates_skipped
-                .saturating_add(mask_candidate_count(&sk, mask));
-            continue;
-        }
-        let (v, root_live) = enumerate_mask_pruned(&sk, mask, oracle, &mut stats, f);
-        visited += v;
-        if !root_live && oracle.event_monotone() {
-            dead_masks.push(mask);
-        }
-    }
-    Ok((visited, stats))
-}
-
 /// How many complete candidates the abort split `mask` contributes
 /// (saturating at `u64::MAX`) — the skip-count a caller charges when it
 /// discards the split wholesale (e.g. via dead-mask subsumption).
@@ -755,16 +725,27 @@ pub fn mask_candidate_count(sk: &ProgramSkeleton, mask: u64) -> u64 {
     count_for_mask(sk, mask).min(u64::MAX as u128) as u64
 }
 
-/// Walk **one** abort split of the program with oracle pruning: the
-/// per-mask building block [`enumerate_candidates_pruned`] loops over,
-/// exposed so callers can fan independent masks out over worker pools.
-/// Returns the candidates visited and whether the split's *root*
-/// (`rf = co = ∅`) survived the oracle — a `false` root from an
-/// [event-monotone](PruneOracle::event_monotone) oracle also kills every
-/// mask `m` with `m | mask == mask` (a split committing a superset of
-/// these events), which is the caller's dead-mask subsumption rule. A
-/// root rejection already charges `subtrees_cut`/`candidates_skipped`
-/// into `stats`.
+/// Walk **one** abort split of the program, enumerating only the
+/// candidates the model's [`PruneOracle`] cannot rule out and
+/// abandoning doomed subtrees the moment a partial `rf`/`co` assignment
+/// (or the split itself) closes a forbidden cycle. Every candidate the
+/// oracle's model finds consistent **is** visited — oracles are
+/// conservative, so pruning never loses an allowed outcome — but `f`
+/// may also see candidates a full check would reject (the oracle only
+/// runs the monotone fragment), so callers must still verdict what
+/// they keep. With [`txmm_core::NoPrune`] the split's candidates are
+/// exactly [`enumerate_candidates`]'s, reordered (coherence placements
+/// and rf choices depth-first).
+///
+/// Callers loop it over the `2^txns` abort masks (`txmm::outcomes` fans
+/// them out over a worker pool). Returns the candidates visited and
+/// whether the split's *root* (`rf = co = ∅`) survived the oracle — a
+/// `false` root from an [event-monotone](PruneOracle::event_monotone)
+/// oracle also kills every mask `m` with `m | mask == mask` (a split
+/// committing a superset of these events), which is the caller's
+/// dead-mask subsumption rule; walking masks in descending order puts
+/// each such split after the one that kills it. A root rejection
+/// already charges `subtrees_cut`/`candidates_skipped` into `stats`.
 pub fn enumerate_mask_pruned(
     sk: &ProgramSkeleton,
     mask: u64,
@@ -827,7 +808,7 @@ pub fn enumerate_mask_pruned(
     (visited, true)
 }
 
-/// The per-split depth-first state of [`enumerate_candidates_pruned`]:
+/// The per-split depth-first state of [`enumerate_mask_pruned`]:
 /// coherence placements first (location by location, write by write),
 /// then rf choices read by read, one viability check per edge batch.
 struct PrunedWalk<'a> {
@@ -854,9 +835,9 @@ impl PrunedWalk<'_> {
     /// Choose the write ranked `k` in location `li`'s coherence order
     /// (`used` = already-ranked writes as a bitmask over the
     /// live-write list, `placed` = their event ids). All sibling
-    /// placements are probed first — the ones the delta state cannot
-    /// decide are materialised and judged in one batched oracle call —
-    /// and only then do the viable ones recurse, in the original order.
+    /// placements are probed first
+    /// ([`PartialCandidate::probe_siblings`]), and only then do the
+    /// viable ones recurse, in the original order.
     fn place(&mut self, pc: &mut PartialCandidate, li: usize, used: u64, placed: EventSet) {
         if li == self.mp.live_writes.len() {
             return self.rf(pc, 0);
@@ -867,40 +848,15 @@ impl PrunedWalk<'_> {
         if k == ws.len() {
             return self.place(pc, li + 1, 0, EventSet::default());
         }
-        let mut viable_mask = 0u64;
-        let mut pend_slots: Vec<usize> = Vec::new();
-        let mut batch: Vec<(Execution, Rel)> = Vec::new();
-        pc.mark();
-        for (j, &(_, e)) in ws.iter().enumerate() {
-            if used & (1 << j) != 0 {
-                continue;
-            }
+        let unplaced = ws
+            .iter()
+            .enumerate()
+            .filter(|&(j, _)| used & (1 << j) == 0)
+            .map(|(j, &(_, e))| (j, e));
+        let viable_mask = pc.probe_siblings(self.oracle, self.stats, unplaced, |pc, e| {
             pc.push_co(placed, e);
-            match if placed.is_empty() {
-                // The first write at a location adds no edges: nothing
-                // to check yet.
-                Some(true)
-            } else {
-                pc.probe(self.oracle, self.stats)
-            } {
-                Some(true) => viable_mask |= 1 << j,
-                Some(false) => {}
-                None => {
-                    pend_slots.push(j);
-                    batch.push(pc.materialise());
-                }
-            }
-            pc.rewind();
-        }
-        if !batch.is_empty() {
-            self.stats.record_batch(batch.len());
-            let bits = judge_batch(self.oracle, &batch, self.stats);
-            for (b, &j) in pend_slots.iter().enumerate() {
-                if bits & (1 << b) != 0 {
-                    viable_mask |= 1 << j;
-                }
-            }
-        }
+            !placed.is_empty() // the first write at a location adds no edges
+        });
         for (j, &(v, e)) in ws.iter().enumerate() {
             if used & (1 << j) != 0 {
                 continue;
@@ -924,70 +880,20 @@ impl PrunedWalk<'_> {
         pc.release();
     }
 
-    /// Apply rf choice `choice` for read `i` (0 = initial value);
-    /// `true` when the choice added any edges worth checking.
-    fn apply_rf(
-        &mut self,
-        pc: &mut PartialCandidate,
-        i: usize,
-        rnew: usize,
-        choice: usize,
-    ) -> bool {
-        if choice == 0 {
-            // Reading the initial value forces fr to every committed
-            // write at the location (none ⇒ no-op).
-            pc.assign_init_read(rnew, self.read_ws[i]);
-            self.rf_val[i] = 0;
-            !self.read_ws[i].is_empty()
-        } else {
-            let lw = self.mp.read_lw[i].expect("choice > 0 needs live writes");
-            let (v, w) = self.mp.live_writes[lw].1[choice - 1];
-            pc.assign_rf(w, rnew);
-            self.rf_val[i] = v;
-            true
-        }
-    }
-
     /// Choose where read `i` reads from (0 = initial value), batching
     /// the sibling choices like [`Self::place`].
     fn rf(&mut self, pc: &mut PartialCandidate, i: usize) {
         if i == self.mp.reads.len() {
             return self.leaf(pc);
         }
-        let (rnew, _, _) = self.mp.reads[i];
-        let arity = self.mp.rf_arity[i];
-        let mut viable_mask = 0u64;
-        let mut pend_slots: Vec<usize> = Vec::new();
-        let mut batch: Vec<(Execution, Rel)> = Vec::new();
-        pc.mark();
-        for choice in 0..arity {
-            let changed = self.apply_rf(pc, i, rnew, choice);
-            match if changed {
-                pc.probe(self.oracle, self.stats)
-            } else {
-                Some(true) // no new edges: nothing to check
-            } {
-                Some(true) => viable_mask |= 1 << choice,
-                Some(false) => {}
-                None => {
-                    pend_slots.push(choice);
-                    batch.push(pc.materialise());
-                }
-            }
-            pc.rewind();
-        }
-        if !batch.is_empty() {
-            self.stats.record_batch(batch.len());
-            let bits = judge_batch(self.oracle, &batch, self.stats);
-            for (b, &choice) in pend_slots.iter().enumerate() {
-                if bits & (1 << b) != 0 {
-                    viable_mask |= 1 << choice;
-                }
-            }
-        }
-        for choice in 0..arity {
+        let (mp, ws) = (self.mp, self.read_ws[i]);
+        let siblings = (0..mp.rf_arity[i]).map(|c| (c, c));
+        let viable_mask = pc.probe_siblings(self.oracle, self.stats, siblings, |pc, c| {
+            mp.apply_rf(pc, i, ws, c).1
+        });
+        for choice in 0..mp.rf_arity[i] {
             if viable_mask & (1 << choice) != 0 {
-                self.apply_rf(pc, i, rnew, choice);
+                self.rf_val[i] = mp.apply_rf(pc, i, ws, choice).0;
                 self.rf(pc, i + 1);
                 pc.rewind();
             } else {
@@ -1326,6 +1232,22 @@ mod tests {
         )
     }
 
+    /// Every abort split of `t` through [`enumerate_mask_pruned`],
+    /// masks descending.
+    fn walk_every_mask(
+        t: &LitmusTest,
+        oracle: &dyn PruneOracle,
+        f: &mut dyn FnMut(Candidate),
+    ) -> (usize, PruneStats) {
+        let sk = ProgramSkeleton::from_litmus(t).unwrap();
+        let mut stats = PruneStats::default();
+        let mut visited = 0;
+        for mask in (0..1u64 << sk.txns.len()).rev() {
+            visited += enumerate_mask_pruned(&sk, mask, oracle, &mut stats, f).0;
+        }
+        (visited, stats)
+    }
+
     #[test]
     fn pruned_enumeration_with_noprune_is_plain_enumeration() {
         use txmm_core::NoPrune;
@@ -1338,8 +1260,7 @@ mod tests {
             let mut plain: Vec<String> = candidates(&t).unwrap().iter().map(cand_key).collect();
             let mut pruned = Vec::new();
             let (visited, stats) =
-                enumerate_candidates_pruned(&t, &NoPrune, &mut |c| pruned.push(cand_key(&c)))
-                    .unwrap();
+                walk_every_mask(&t, &NoPrune, &mut |c| pruned.push(cand_key(&c)));
             assert_eq!(visited as u128, candidate_count(&t).unwrap());
             assert_eq!(stats.subtrees_cut, 0);
             assert_eq!(stats.candidates_skipped, 0);
@@ -1368,8 +1289,7 @@ mod tests {
                     continue;
                 };
                 let mut kept = Vec::new();
-                let (visited, stats) =
-                    enumerate_candidates_pruned(&t, oracle, &mut |c| kept.push(c)).unwrap();
+                let (visited, stats) = walk_every_mask(&t, oracle, &mut |c| kept.push(c));
                 assert_eq!(
                     visited as u64 + stats.candidates_skipped,
                     all.len() as u64,

@@ -28,7 +28,7 @@
 //! class invariant, so the two prunings commute.
 
 use txmm_core::canon::{kind_tag, label_canonical, struct_canonical, Label};
-use txmm_core::incr::{judge_batch, NoPrune, PartialCandidate, PruneOracle, PruneStats};
+use txmm_core::incr::{NoPrune, PartialCandidate, PruneOracle, PruneStats};
 use txmm_core::{Event, EventKind, EventSet, Execution, Rel, TxnClass, TxnFreeBase};
 use txmm_models::Model;
 
@@ -223,10 +223,9 @@ impl<'a> Walk<'a> {
     /// below it. Read 0 is assigned innermost, so it varies fastest —
     /// the odometer order of the unpruned enumerator, which makes the
     /// survivors come out in exactly [`crate::enumerate`]'s order. All
-    /// sibling options are probed first — the ones the delta state
-    /// cannot decide are materialised and judged in one batched oracle
-    /// call — and only then do the viable ones recurse, in the original
-    /// option order.
+    /// sibling options are probed first
+    /// ([`PartialCandidate::probe_siblings`]), and only then do the
+    /// viable ones recurse, in the original option order.
     fn rf(
         &self,
         i: usize,
@@ -241,35 +240,12 @@ impl<'a> Walk<'a> {
         let i = i - 1;
         let r = self.space.reads[i];
         let opts = &self.space.rf_options[i];
-        let mut viable_mask = 0u64;
-        let mut pend_slots: Vec<usize> = Vec::new();
-        let mut batch: Vec<(Execution, Rel)> = Vec::new();
-        pc.mark();
-        for (j, &opt) in opts.iter().enumerate() {
-            let added = self.apply_rf(i, r, opt, pc);
-            match if added {
-                pc.probe(self.oracle, st)
-            } else {
-                Some(true) // no new edges: nothing to check
-            } {
-                Some(true) => viable_mask |= 1 << j,
-                Some(false) => {}
-                None => {
-                    pend_slots.push(j);
-                    batch.push(pc.materialise());
-                }
-            }
-            pc.rewind();
-        }
-        if !batch.is_empty() {
-            st.record_batch(batch.len());
-            let bits = judge_batch(self.oracle, &batch, st);
-            for (b, &j) in pend_slots.iter().enumerate() {
-                if bits & (1 << b) != 0 {
-                    viable_mask |= 1 << j;
-                }
-            }
-        }
+        let viable_mask = pc.probe_siblings(
+            self.oracle,
+            st,
+            opts.iter().copied().enumerate(),
+            |pc, opt| self.apply_rf(i, r, opt, pc),
+        );
         for (j, &opt) in opts.iter().enumerate() {
             if viable_mask & (1 << j) != 0 {
                 self.apply_rf(i, r, opt, pc);
@@ -316,38 +292,15 @@ impl<'a> Walk<'a> {
             self.co(li + 1, pc, st, leaf);
             return;
         }
-        let mut viable_mask = 0u64;
-        let mut pend_slots: Vec<usize> = Vec::new();
-        let mut batch: Vec<(Execution, Rel)> = Vec::new();
-        pc.mark();
-        for (j, &w) in ws.iter().enumerate() {
-            if placed.contains(w) {
-                continue;
-            }
+        let unplaced = ws
+            .iter()
+            .copied()
+            .enumerate()
+            .filter(|&(_, w)| !placed.contains(w));
+        let viable_mask = pc.probe_siblings(self.oracle, st, unplaced, |pc, w| {
             pc.push_co(placed, w);
-            match if placed.is_empty() {
-                Some(true) // the first write adds no edges
-            } else {
-                pc.probe(self.oracle, st)
-            } {
-                Some(true) => viable_mask |= 1 << j,
-                Some(false) => {}
-                None => {
-                    pend_slots.push(j);
-                    batch.push(pc.materialise());
-                }
-            }
-            pc.rewind();
-        }
-        if !batch.is_empty() {
-            st.record_batch(batch.len());
-            let bits = judge_batch(self.oracle, &batch, st);
-            for (b, &j) in pend_slots.iter().enumerate() {
-                if bits & (1 << b) != 0 {
-                    viable_mask |= 1 << j;
-                }
-            }
-        }
+            !placed.is_empty() // the first write adds no edges
+        });
         for (j, &w) in ws.iter().enumerate() {
             if placed.contains(w) {
                 continue;

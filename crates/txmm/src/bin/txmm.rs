@@ -86,8 +86,8 @@ const USAGE: &str = "usage: txmm <command>\n\
      serve options: --model NAME, --cat FILE, --with-cat, --warm, --prom,\n\
      \u{20}               --listen ADDR, --shards N, --max-conns N\n\
      outcomes options: serve options plus --workers N, --max-candidates N\n\
-     \u{20} --workers N parallelises the pruned abort-split walk and class\n\
-     \u{20} checking over N work-stealing threads (1 = fully sequential)\n\
+     \u{20} --workers N spreads each model's abort-split walk over N\n\
+     \u{20} work-stealing threads (1 = fully sequential)\n\
      telemetry (gen/outcomes): --progress[=SECS] heartbeat JSONL frames on\n\
      \u{20} stderr, --progress-file FILE to redirect them, --metrics-listen\n\
      \u{20} ADDR to scrape live metrics from the one-shot process\n\

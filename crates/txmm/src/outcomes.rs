@@ -1,20 +1,24 @@
 //! The outcome engine's checking half: per-model **allowed final-state
 //! sets** for litmus programs, served from a [`Session`].
 //!
-//! `txmm_litmus::outcomes` enumerates every candidate execution of a
-//! program (all rf assignments, all per-location coherence orders, all
-//! transaction commit/abort splits). This module turns that stream into
-//! herd-style answers:
+//! `txmm_litmus::outcomes` walks a program's candidate executions (all
+//! rf assignments, all per-location coherence orders, all transaction
+//! commit/abort splits). This module turns that walk into herd-style
+//! answers:
 //!
-//! * candidates are grouped into **canonical classes** through the
-//!   Session arena (thread/location-symmetric candidates share one
-//!   interned representative), so each model checks one execution per
-//!   class instead of one per candidate — the same symmetry machinery
-//!   `txmm_core::canon` gives the enumerator, reused as a pruning
-//!   stage;
-//! * class checking **fans out over the `txmm_synth::steal`
-//!   work-stealing pool** when the class count is worth it, and lands
-//!   in the Session's verdict cache either way;
+//! * every `(program, model)` pair is answered by **one driver**: the
+//!   abort splits fan out in descending order over the
+//!   `txmm_synth::steal` work-stealing pool (one worker runs them
+//!   inline — the sequential reference), each walked by
+//!   [`enumerate_mask_pruned`] under the model's prune oracle. A model
+//!   without an oracle walks with [`txmm_core::NoPrune`], which visits
+//!   every candidate;
+//! * candidates **stream** into one sink — interned into the Session
+//!   arena (thread/location-symmetric candidates share one canonical
+//!   class, so each model checks one execution per class), verdicted
+//!   through the Session's verdict cache, folded into the allowed set.
+//!   Nothing is buffered: the allowed set is ordered and the class count
+//!   is a set size, so the answer does not depend on arrival order;
 //! * the resulting allowed outcome set per `(program, model)` is cached
 //!   under the program's canonical key ([`txmm_litmus::program_key`]),
 //!   so re-serving a test — or the same program under a different
@@ -28,17 +32,19 @@
 //! observations can be cross-checked to be a **subset** of a sound
 //! model's allowed set ([`unsound_sim_outcomes`]).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::hash_map::{Entry, HashMap};
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Mutex;
 
-use txmm_core::arena::ExecId;
-use txmm_core::{PruneOracle, PruneStats};
+use txmm_core::arena::{ExecArena, ExecId};
+use txmm_core::PruneStats;
 use txmm_hwsim::{Outcome, OutcomeSet, Simulator, MAX_LOCS};
 use txmm_litmus::{
-    enumerate_candidates, enumerate_mask_pruned, mask_candidate_count, program_key, Candidate,
-    LitmusTest, Op, ProgramSkeleton,
+    enumerate_mask_pruned, mask_candidate_count, program_key, Candidate, LitmusTest, Op,
+    ProgramSkeleton,
 };
-use txmm_models::Arch;
+use txmm_models::{Arch, Model, Verdict};
 
 use crate::session::{intern_into, ModelRef, Session};
 
@@ -50,23 +56,13 @@ use crate::session::{intern_into, ModelRef, Session};
 /// which consistency-guided pruning keeps affordable.
 pub const MAX_CANDIDATES: u128 = 1 << 16;
 
-/// One program's enumerated candidate table, cached per program key —
-/// the unpruned reference path, used for models without a prune oracle
-/// (and for every model when [`Session::set_prune`] turns pruning off).
-pub(crate) struct OutcomeTable {
-    /// Final state + canonical class per candidate.
-    pub(crate) candidates: Vec<(Outcome, usize)>,
-    /// Interned representative execution per class.
-    pub(crate) classes: Vec<ExecId>,
-}
-
-/// What one `(program, model)` outcome computation actually walked:
-/// the pruned path visits a per-model subset of the candidate space,
-/// the table path all of it. Cached alongside the allowed set so
-/// repeat requests can report class counts without re-walking.
+/// What one `(program, model)` outcome walk visited: a per-model subset
+/// of the candidate space (all of it for a model without an oracle).
+/// Cached alongside the allowed set so repeat requests can report class
+/// counts without re-walking.
 pub(crate) struct OutcomeVisit {
-    /// Distinct canonical classes visited, in first-visit order.
-    pub(crate) classes: Vec<ExecId>,
+    /// Distinct canonical classes visited.
+    pub(crate) classes: HashSet<ExecId>,
 }
 
 /// A model's program-level answer.
@@ -115,20 +111,21 @@ fn pad_locs<T: Clone + Default>(mut v: Vec<T>) -> Vec<T> {
 }
 
 /// Append-only, lock-free set of root-rejected abort masks, shared by
-/// the parallel per-mask walk's workers. A worker that finds a split's
-/// root non-viable under an event-monotone oracle publishes the mask;
-/// every worker then skips masks the published ones subsume (`mask | d
-/// == d`) without projecting the program. The set is capped — once
-/// full, further dead masks are simply re-discovered at their own
-/// roots, which costs one viability check and no correctness.
+/// the per-mask walk's workers. A worker that finds a split's root
+/// non-viable under an event-monotone oracle publishes the mask; every
+/// worker then skips masks the published ones subsume (`mask | d ==
+/// d`) without projecting the program. The set is capped — once full,
+/// further dead masks are simply re-discovered at their own roots,
+/// which costs one viability check and no correctness.
 struct DeadMasks {
     slots: Vec<AtomicU64>,
     next: AtomicUsize,
 }
 
 /// No real mask is all-ones: a program with 64 single-event
-/// transactions has no other events, and its split space is refused by
-/// the candidate cap long before a walk starts.
+/// transactions has no other events, its candidate count saturates,
+/// and [`Session::outcomes_capped`] refuses saturated counts under any
+/// cap before a walk starts.
 const DEAD_EMPTY: u64 = u64::MAX;
 
 impl DeadMasks {
@@ -157,90 +154,58 @@ impl DeadMasks {
     }
 }
 
-/// The parallel analogue of
-/// [`txmm_litmus::enumerate_candidates_pruned`]: abort masks fan out in
-/// descending order over the work-stealing pool, each walked by
-/// [`enumerate_mask_pruned`] with dead-mask subsumption maintained in a
-/// shared [`DeadMasks`] set. Workers buffer their candidates per mask;
-/// the caller's thread merges the buffers back into descending-mask
-/// order, so the candidate stream is byte-identical to the sequential
-/// walk's. (Which masks are *root-checked* vs subsumption-skipped can
-/// differ from the sequential schedule — both charge the same
-/// `subtrees_cut`/`candidates_skipped`, and a root-rejected mask emits
-/// no candidates either way, so only the oracle-call counters wobble.)
-type MaskBuffers = Vec<(u64, Vec<Candidate>)>;
+/// Where the walk's candidates land: the Session's arena and verdict
+/// cache (borrowed apart from the model registry the oracle lives in)
+/// plus the allowed set and class record under construction. The
+/// workers share it behind a mutex.
+struct OutcomeSink<'s> {
+    arena: &'s mut ExecArena,
+    canon_ids: &'s mut HashMap<Vec<u8>, ExecId>,
+    verdicts: &'s mut HashMap<(ExecId, usize), Verdict>,
+    verdict_hits: &'s txmm_obs::Counter,
+    verdict_misses: &'s txmm_obs::Counter,
+    allowed: OutcomeSet,
+    classes: HashSet<ExecId>,
+}
 
-fn pruned_candidates_par(
-    t: &LitmusTest,
-    oracle: &dyn PruneOracle,
-    workers: usize,
-    progress: Option<&txmm_obs::WalkProgress>,
-) -> Result<(usize, PruneStats, MaskBuffers), String> {
-    let sk = ProgramSkeleton::from_litmus(t).map_err(|e| e.to_string())?;
-    let splits: u128 = 1u128 << sk.txns.len();
-    if let Some(p) = progress {
-        // One abort split = one unit of stealable work; its weight is
-        // the closed-form candidate count below it, so "fraction done"
-        // tracks candidates, not masks.
-        let total = (0..splits)
-            .map(|m| mask_candidate_count(&sk, m as u64))
-            .fold(0u64, u64::saturating_add);
-        p.add_total(total);
+impl OutcomeSink<'_> {
+    /// Intern the candidate, verdict its class (through the cache) and
+    /// keep its final state when the model allows it; `true` when the
+    /// class is new to this walk.
+    fn accept(&mut self, c: Candidate, model: &dyn Model, slot: usize) -> bool {
+        let id = intern_into(self.arena, self.canon_ids, &c.exec);
+        let fresh = self.classes.insert(id);
+        // The oracle's leaf check is not the full model (compiled
+        // `.cat` oracles run only the monotone fragment), so the class
+        // still goes through the verdict cache.
+        let verdict = match self.verdicts.entry((id, slot)) {
+            Entry::Occupied(e) => {
+                self.verdict_hits.inc();
+                e.into_mut()
+            }
+            Entry::Vacant(e) => {
+                self.verdict_misses.inc();
+                e.insert(model.check_analysis(&self.arena.unpack(id).analysis()))
+            }
+        };
+        if verdict.is_consistent() {
+            self.allowed.insert(Outcome {
+                regs: c.regs,
+                memory: pad_locs(c.memory),
+                txn_ok: c.txn_ok,
+                co_order: pad_locs(c.co_order),
+            });
+        }
+        fresh
     }
-    let dead = DeadMasks::new(256);
-    let monotone = oracle.event_monotone();
-    let masks = (0..splits).rev().map(|m| m as u64);
-    let (states, _steal) = txmm_synth::run_with(
-        masks,
-        workers,
-        progress,
-        |_| (Vec::new(), PruneStats::default()),
-        |mask: u64, (bufs, st): &mut (Vec<(u64, Vec<Candidate>)>, PruneStats)| {
-            let work = mask_candidate_count(&sk, mask);
-            if dead.subsumes(mask) {
-                st.subtrees_cut += 1;
-                st.candidates_skipped = st.candidates_skipped.saturating_add(work);
-                if let Some(p) = progress {
-                    p.subtree_done(work, 0, 1, work);
-                }
-                return;
-            }
-            let before = (st.subtrees_cut, st.candidates_skipped);
-            let mut buf = Vec::new();
-            let (_, root_live) = enumerate_mask_pruned(&sk, mask, oracle, st, &mut |c| buf.push(c));
-            if !root_live && monotone {
-                dead.push(mask);
-            }
-            if let Some(p) = progress {
-                p.subtree_done(
-                    work,
-                    buf.len() as u64,
-                    st.subtrees_cut - before.0,
-                    st.candidates_skipped - before.1,
-                );
-            }
-            if !buf.is_empty() {
-                bufs.push((mask, buf));
-            }
-        },
-    );
-    let mut stats = PruneStats::default();
-    let mut all: Vec<(u64, Vec<Candidate>)> = Vec::new();
-    for (bufs, st) in states {
-        all.extend(bufs);
-        stats.merge(&st);
-    }
-    all.sort_unstable_by_key(|b| std::cmp::Reverse(b.0));
-    let visited = all.iter().map(|(_, b)| b.len()).sum();
-    Ok((visited, stats, all))
 }
 
 impl Session {
-    /// Program-level outcome enumeration: build (or fetch) the
-    /// program's candidate table, check every canonical class under the
-    /// requested models (all registered models when `models` is
-    /// `None`), and return the allowed final-state set plus the
-    /// postcondition verdict per model.
+    /// Program-level outcome enumeration: walk (or fetch from the
+    /// cache) the program's candidates under each requested model (all
+    /// registered models when `models` is `None`), checking one
+    /// execution per canonical class, and return the allowed
+    /// final-state set plus the postcondition verdict per model.
     pub fn outcomes(
         &mut self,
         file: &str,
@@ -276,6 +241,13 @@ impl Session {
         }
         let cap = cap.unwrap_or(self.max_candidates);
         let count = txmm_litmus::candidate_count(t).map_err(|e| e.to_string())?;
+        // `u128::MAX` is the count's "too many to count" sentinel, not
+        // a count: refuse it under any cap, and do not print it.
+        if count == u128::MAX {
+            return Err(format!(
+                "program has too many candidate executions to count (limit {cap})"
+            ));
+        }
         if count > cap {
             return Err(format!(
                 "program has {count} candidate executions (limit {cap})"
@@ -298,14 +270,7 @@ impl Session {
             } else {
                 self.stats.outcome_misses.inc();
                 cached = false;
-                // Oracle-backed models walk the candidate space with
-                // consistency-guided pruning, one walk per model;
-                // oracle-less models share the unpruned table.
-                if self.prune && self.models[slot].prune_oracle(true).is_some() {
-                    self.pruned_model_outcomes(&key, t, m)?;
-                } else {
-                    self.table_model_outcomes(&key, t, m)?;
-                }
+                self.model_outcomes(&key, t, m)?;
                 self.stats
                     .outcome_entries
                     .set(self.outcome_sets.len() as i64);
@@ -341,18 +306,17 @@ impl Session {
         })
     }
 
-    /// One model's allowed set via the pruned candidate walk: the
-    /// model's oracle kills doomed subtrees (and whole abort splits)
-    /// during construction, surviving candidates are interned and
-    /// verdict-checked class by class, and the allowed set plus the
-    /// visit record land in the per-`(program, model)` caches.
-    fn pruned_model_outcomes(
-        &mut self,
-        key: &[u8],
-        t: &LitmusTest,
-        m: ModelRef,
-    ) -> Result<(), String> {
+    /// One model's allowed set via the per-mask walk: abort masks fan
+    /// out in descending order over `txmm_synth::run_with` (inline on
+    /// one worker), each walked by [`enumerate_mask_pruned`] under the
+    /// model's oracle ([`txmm_synth::oracle_for`], so a model without one
+    /// walks unpruned), with dead-mask subsumption kept in a shared
+    /// [`DeadMasks`] set. Candidates stream into the one
+    /// [`OutcomeSink`]; the allowed set and the visit record land in the
+    /// per-`(program, model)` caches.
+    fn model_outcomes(&mut self, key: &[u8], t: &LitmusTest, m: ModelRef) -> Result<(), String> {
         let slot = m.index();
+        let sk = ProgramSkeleton::from_litmus(t).map_err(|e| e.to_string())?;
         // The oracle borrows the model registry for the whole walk;
         // split the borrows so candidates can still be interned and
         // verdict-cached.
@@ -366,76 +330,83 @@ impl Session {
             walk_progress,
             ..
         } = self;
-        let workers = *outcome_workers;
-        let progress = walk_progress.clone();
-        let progress = progress.as_deref();
+        let progress = walk_progress.as_deref();
         let model = models[slot].as_ref();
-        let oracle = model
-            .prune_oracle(true)
-            .expect("caller checked the oracle exists");
-        let mut allowed = OutcomeSet::new();
-        let mut classes: Vec<ExecId> = Vec::new();
-        let mut seen: HashSet<ExecId> = HashSet::new();
-        let mut sink = |c: Candidate| {
-            let id = intern_into(arena, canon_ids, &c.exec);
-            if seen.insert(id) {
-                classes.push(id);
-                if let Some(p) = progress {
-                    p.add_classes(1);
+        let oracle = txmm_synth::oracle_for(model, true);
+        let splits: u128 = 1u128 << sk.txns.len();
+        if let Some(p) = progress {
+            // One abort split = one unit of stealable work; its weight is
+            // the closed-form candidate count below it, so "fraction done"
+            // tracks candidates, not masks.
+            let total = (0..splits)
+                .map(|m| mask_candidate_count(&sk, m as u64))
+                .fold(0u64, u64::saturating_add);
+            p.add_total(total);
+        }
+        let sink = Mutex::new(OutcomeSink {
+            arena,
+            canon_ids,
+            verdicts,
+            verdict_hits: &stats.verdict_hits,
+            verdict_misses: &stats.verdict_misses,
+            allowed: OutcomeSet::new(),
+            classes: HashSet::new(),
+        });
+        let dead = DeadMasks::new(256);
+        let monotone = oracle.event_monotone();
+        let masks = (0..splits).rev().map(|m| m as u64);
+        // The pool appends a set of worker lanes to the progress per
+        // run, and a daemon shard's progress lives as long as the shard:
+        // only a real multi-worker pool registers lanes.
+        let lanes = progress.filter(|_| *outcome_workers > 1);
+        let (states, _steal) = txmm_synth::run_with(
+            masks,
+            *outcome_workers,
+            lanes,
+            |_| (0usize, PruneStats::default()),
+            |mask: u64, (visited, st): &mut (usize, PruneStats)| {
+                if dead.subsumes(mask) {
+                    let work = mask_candidate_count(&sk, mask);
+                    st.subtrees_cut += 1;
+                    st.candidates_skipped = st.candidates_skipped.saturating_add(work);
+                    if let Some(p) = progress {
+                        p.subtree_done(work, 0, 1, work);
+                    }
+                    return;
                 }
-            }
-            // The oracle's leaf check is not the full model (compiled
-            // `.cat` oracles run only the monotone fragment), so the
-            // class still goes through the verdict cache.
-            if let std::collections::hash_map::Entry::Vacant(e) = verdicts.entry((id, slot)) {
-                stats.verdict_misses.inc();
-                e.insert(model.check_analysis(&arena.unpack(id).analysis()));
-            } else {
-                stats.verdict_hits.inc();
-            }
-            if verdicts[&(id, slot)].is_consistent() {
-                allowed.insert(Outcome {
-                    regs: c.regs,
-                    memory: pad_locs(c.memory),
-                    txn_ok: c.txn_ok,
-                    co_order: pad_locs(c.co_order),
+                let before = (st.subtrees_cut, st.candidates_skipped);
+                let (v, root_live) = enumerate_mask_pruned(&sk, mask, oracle, st, &mut |c| {
+                    let fresh = sink
+                        .lock()
+                        .expect("outcome sink poisoned")
+                        .accept(c, model, slot);
+                    if let (true, Some(p)) = (fresh, progress) {
+                        p.add_classes(1);
+                    }
                 });
-            }
-        };
-        // The walk itself parallelises over abort splits; Session
-        // interning is single-threaded, so workers buffer candidates
-        // and the merge (descending masks, the sequential order)
-        // replays them through the same sink here.
-        let (visited, pstats) = if workers > 1 {
-            let (visited, pstats, buffers) = pruned_candidates_par(t, oracle, workers, progress)?;
-            for (_, buf) in buffers {
-                for c in buf {
-                    sink(c);
+                if !root_live && monotone {
+                    dead.push(mask);
                 }
-            }
-            (visited, pstats)
-        } else {
-            // The sequential walk has no per-split granularity to
-            // report against, so the whole program is one work unit
-            // flushed when the walk returns.
-            let total = txmm_litmus::candidate_count(t)
-                .map(|n| n.min(u64::MAX as u128) as u64)
-                .unwrap_or(0);
-            if let Some(p) = progress {
-                p.add_total(total);
-            }
-            let (visited, pstats) = txmm_litmus::enumerate_candidates_pruned(t, oracle, &mut sink)
-                .map_err(|e| e.to_string())?;
-            if let Some(p) = progress {
-                p.subtree_done(
-                    total,
-                    visited as u64,
-                    pstats.subtrees_cut,
-                    pstats.candidates_skipped,
-                );
-            }
-            (visited, pstats)
-        };
+                *visited += v;
+                if let Some(p) = progress {
+                    p.subtree_done(
+                        mask_candidate_count(&sk, mask),
+                        v as u64,
+                        st.subtrees_cut - before.0,
+                        st.candidates_skipped - before.1,
+                    );
+                }
+            },
+        );
+        let OutcomeSink {
+            allowed, classes, ..
+        } = sink.into_inner().expect("outcome sink poisoned");
+        let mut pstats = PruneStats::default();
+        let mut visited = 0usize;
+        for (v, st) in &states {
+            visited += v;
+            pstats.merge(st);
+        }
         self.stats.interned.set(self.arena.len() as i64);
         self.stats.outcome_candidates.add(visited as u64);
         self.stats.outcome_classes.add(classes.len() as u64);
@@ -454,127 +425,6 @@ impl Session {
         self.outcome_visits
             .insert((key.to_vec(), slot), OutcomeVisit { classes });
         Ok(())
-    }
-
-    /// One model's allowed set from the shared unpruned table — the
-    /// reference path, and the only one for models without an oracle.
-    fn table_model_outcomes(
-        &mut self,
-        key: &[u8],
-        t: &LitmusTest,
-        m: ModelRef,
-    ) -> Result<(), String> {
-        if !self.outcome_tables.contains_key(key) {
-            let table = self.build_table(t)?;
-            self.outcome_tables.insert(key.to_vec(), table);
-        }
-        let consistent = self.class_consistency(key, m);
-        let table = &self.outcome_tables[key];
-        let allowed: OutcomeSet = table
-            .candidates
-            .iter()
-            .filter(|(_, class)| consistent[*class])
-            .map(|(o, _)| o.clone())
-            .collect();
-        let visit = OutcomeVisit {
-            classes: table.classes.clone(),
-        };
-        self.outcome_sets.insert((key.to_vec(), m.index()), allowed);
-        self.outcome_visits.insert((key.to_vec(), m.index()), visit);
-        Ok(())
-    }
-
-    /// Enumerate the program's candidates into a table, interning one
-    /// representative execution per canonical class. Size refusals
-    /// happened in [`Session::outcomes_capped`]; the capacity clamp
-    /// only guards allocation under deliberately raised caps.
-    fn build_table(&mut self, t: &LitmusTest) -> Result<OutcomeTable, String> {
-        let count = txmm_litmus::candidate_count(t).map_err(|e| e.to_string())?;
-        let mut candidates = Vec::with_capacity(count.min(1 << 20) as usize);
-        let mut classes: Vec<ExecId> = Vec::new();
-        let mut class_of: HashMap<ExecId, usize> = HashMap::new();
-        enumerate_candidates(t, &mut |c| {
-            let id = self.intern(&c.exec);
-            let next = classes.len();
-            let class = *class_of.entry(id).or_insert_with(|| {
-                classes.push(id);
-                next
-            });
-            candidates.push((
-                Outcome {
-                    regs: c.regs,
-                    memory: pad_locs(c.memory),
-                    txn_ok: c.txn_ok,
-                    co_order: pad_locs(c.co_order),
-                },
-                class,
-            ));
-        })
-        .map_err(|e| e.to_string())?;
-        self.stats.outcome_candidates.add(candidates.len() as u64);
-        self.stats.outcome_classes.add(classes.len() as u64);
-        if let Some(p) = &self.walk_progress {
-            // The unpruned table is built in one gulp; report it as a
-            // single completed work unit so watchers still see motion.
-            let done = candidates.len() as u64;
-            p.add_total(done);
-            p.subtree_done(done, done, 0, 0);
-            p.add_classes(classes.len() as u64);
-        }
-        Ok(OutcomeTable {
-            candidates,
-            classes,
-        })
-    }
-
-    /// Per-class consistency of one model over a table, landing in (and
-    /// served from) the Session verdict cache. Classes missing from the
-    /// cache fan out over the work-stealing pool when there are enough
-    /// of them to pay for the threads.
-    fn class_consistency(&mut self, key: &[u8], m: ModelRef) -> Vec<bool> {
-        /// Below this many uncached classes the pool's thread setup
-        /// costs more than the checking.
-        const PAR_THRESHOLD: usize = 32;
-        let slot = m.index();
-        let class_ids: Vec<txmm_core::arena::ExecId> = self.outcome_tables[key].classes.clone();
-        let missing: Vec<(usize, txmm_core::arena::ExecId)> = class_ids
-            .iter()
-            .copied()
-            .enumerate()
-            .filter(|&(_, id)| !self.verdicts.contains_key(&(id, slot)))
-            .collect();
-        self.stats
-            .verdict_hits
-            .add((class_ids.len() - missing.len()) as u64);
-        self.stats.verdict_misses.add(missing.len() as u64);
-        if !missing.is_empty() {
-            let jobs: Vec<(txmm_core::arena::ExecId, txmm_core::Execution)> = missing
-                .iter()
-                .map(|&(_, id)| (id, self.arena.unpack(id)))
-                .collect();
-            let model = self.models[slot].as_ref();
-            let workers = if jobs.len() >= PAR_THRESHOLD {
-                self.outcome_workers
-            } else {
-                1
-            };
-            let (states, _stats) = txmm_synth::run_with(
-                jobs.into_iter(),
-                workers,
-                None,
-                |_| Vec::new(),
-                |(id, x), out: &mut Vec<(txmm_core::arena::ExecId, txmm_models::Verdict)>| {
-                    out.push((id, model.check_analysis(&x.analysis())));
-                },
-            );
-            for (id, v) in states.into_iter().flatten() {
-                self.verdicts.insert((id, slot), v);
-            }
-        }
-        class_ids
-            .iter()
-            .map(|id| self.verdicts[&(*id, slot)].is_consistent())
-            .collect()
     }
 }
 
@@ -738,64 +588,94 @@ mod tests {
         }
     }
 
-    #[test]
-    fn parallel_and_sequential_checking_agree() {
-        // 5 same-location writes on one thread: 120 coherence classes —
-        // enough to engage the work-stealing pool on the parallel
-        // session. Answers must be identical either way.
+    /// Enumerate-then-filter: every candidate through
+    /// [`txmm_litmus::candidates`], the full model check on each.
+    fn reference_allowed(t: &LitmusTest, model: &dyn Model) -> OutcomeSet {
+        txmm_litmus::candidates(t)
+            .unwrap()
+            .into_iter()
+            .filter(|c| model.check(&c.exec).is_consistent())
+            .map(|c| Outcome {
+                regs: c.regs,
+                memory: pad_locs(c.memory),
+                txn_ok: c.txn_ok,
+                co_order: pad_locs(c.co_order),
+            })
+            .collect()
+    }
+
+    /// Five stores to one location on one thread, each in its own
+    /// transaction when `txns` (2^5 abort splits to fan out).
+    fn five_writes(txns: bool) -> LitmusTest {
         use txmm_litmus::Instr;
-        let t = LitmusTest {
+        let mut instrs = Vec::new();
+        for v in 1..=5u32 {
+            if txns {
+                instrs.push(Instr::plain(Op::TxBegin {
+                    txn_id: (v - 1) as usize,
+                    atomic: false,
+                }));
+            }
+            instrs.push(Instr::plain(Op::Store {
+                loc: 0,
+                value: v,
+                mode: Default::default(),
+            }));
+            if txns {
+                instrs.push(Instr::plain(Op::TxEnd));
+            }
+        }
+        LitmusTest {
             name: "5w".into(),
             arch: Arch::X86,
-            threads: vec![(1..=5u32)
-                .map(|v| {
-                    Instr::plain(Op::Store {
-                        loc: 0,
-                        value: v,
-                        mode: Default::default(),
-                    })
-                })
-                .collect()],
+            threads: vec![instrs],
             post: vec![txmm_litmus::Check::Loc { loc: 0, value: 5 }],
-        };
-        // Pruning would collapse the program to its one po-consistent
-        // coherence order before any class reaches the pool; pin it
-        // off so the table path's fan-out is what gets exercised.
-        let mut seq = Session::new();
-        seq.set_prune(false);
-        let mut par = Session::new();
-        par.set_prune(false);
-        par.set_outcome_workers(4);
-        let m_seq = seq.resolve("x86").unwrap();
-        let m_par = par.resolve("x86").unwrap();
-        let a = seq.outcomes("5w", &t, Some(&[m_seq])).unwrap();
-        let b = par.outcomes("5w", &t, Some(&[m_par])).unwrap();
-        assert!(
-            a.classes >= 32,
-            "classes {} must engage the pool",
-            a.classes
-        );
-        assert_eq!(a.per_model, b.per_model);
+        }
+    }
+
+    #[test]
+    fn parallel_and_sequential_checking_agree() {
+        // One worker (the inline reference) and four must serve the
+        // same answers, and both must equal enumerate-then-filter —
+        // for a model with an oracle and one without.
+        let noor = "acyclic po | (co \\ rf) as X";
+        for t in [five_writes(false), five_writes(true)] {
+            let mut seq = Session::new();
+            let mut par = Session::new();
+            par.set_outcome_workers(4);
+            for s in [&mut seq, &mut par] {
+                let m = s.register_cat_source("noor", noor).unwrap();
+                assert!(s.model(m).prune_oracle(true).is_none());
+            }
+            let ms: Vec<ModelRef> = ["x86", "noor"]
+                .iter()
+                .map(|n| seq.resolve(n).unwrap())
+                .collect();
+            let a = seq.outcomes("5w", &t, Some(&ms)).unwrap();
+            let b = par.outcomes("5w", &t, Some(&ms)).unwrap();
+            assert_eq!(a.per_model, b.per_model);
+            assert_eq!(a.classes, b.classes);
+            for (m, mo) in ms.iter().zip(&a.per_model) {
+                let want = reference_allowed(&t, seq.model(*m));
+                assert_eq!(mo.allowed, want, "{} differs from the reference", mo.model);
+            }
+        }
         // x86 keeps same-thread writes in program order: exactly one
         // coherence order survives, so the postcondition x = 5 is
-        // allowed and x = anything else is not.
-        assert_eq!(a.per_model[0].post_allowed, Some(true));
-        assert_eq!(a.per_model[0].allowed.len(), 1);
-        // The pruned walk abandons the other 119 coherence orders
-        // during construction and still answers identically.
+        // allowed and x = anything else is not. The walk abandons the
+        // other 119 coherence orders during construction.
+        let t = five_writes(false);
         let mut pruned = Session::new();
         let m = pruned.resolve("x86").unwrap();
         let c = pruned.outcomes("5w", &t, Some(&[m])).unwrap();
-        assert_eq!(a.per_model[0].allowed, c.per_model[0].allowed);
-        assert_eq!(
-            a.candidates, c.candidates,
-            "closed-form count is path-independent"
-        );
+        assert_eq!(c.per_model[0].post_allowed, Some(true));
+        assert_eq!(c.per_model[0].allowed.len(), 1);
+        assert_eq!(c.candidates, 120, "closed-form count is path-independent");
         assert_eq!(c.classes, 1, "only the surviving order is visited");
         assert!(pruned.stats().prune_subtrees_cut > 0);
         assert_eq!(
             pruned.stats().outcome_candidates + pruned.stats().prune_candidates_skipped,
-            a.candidates as u64,
+            c.candidates as u64,
             "visited + skipped covers the whole space"
         );
     }
@@ -896,10 +776,18 @@ mod tests {
             post: vec![],
         };
         let mut s = Session::new();
-        for t in [wide, deep] {
+        for t in [wide, deep.clone()] {
             let e = s.outcomes(&t.name.clone(), &t, None).unwrap_err();
             assert!(e.contains("limit"), "{e}");
         }
+        // The saturated count is a "too many to count" sentinel, not a
+        // count: even the largest explicit cap must refuse it (and the
+        // refusal must not present the sentinel as a count), instead
+        // of walking 2^33 abort splits.
+        s.set_max_candidates(u128::MAX);
+        let e = s.outcomes("deep", &deep, None).unwrap_err();
+        assert!(e.contains("limit"), "{e}");
+        assert!(!e.starts_with(&format!("program has {}", u128::MAX)), "{e}");
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! enumerate-then-filter — the same consistent canonical-key sets, the
 //! same allowed-outcome tables — on every model space we can afford.
 //!
-//! Three layers are exercised:
+//! Four layers are exercised:
 //!
 //! * **Structure enumeration** (the pruned walk vs
 //!   [`enumerate`] + `model.consistent`): six model spaces at |E| = 3
@@ -14,10 +14,11 @@
 //!   conditions and the Allow rule): the same ordered Forbid and Allow
 //!   lists on 1 and 3 workers for every (tm, baseline) pair at |E| = 3,
 //!   x86 and SC-TSC at |E| = 4 behind `#[ignore]`.
-//! * **Outcome tables** (pruned Session vs `set_prune(false)`): the
+//! * **Outcome tables** (the Session's per-mask walk vs
+//!   enumerate-then-filter over [`txmm::litmus::candidates`]): the
 //!   per-model allowed sets, postcondition verdicts and closed-form
 //!   candidate counts must agree over the generated corpus, including
-//!   its transactional programs.
+//!   its transactional programs and a model without a prune oracle.
 //! * **`.cat` oracles never over-prune**: on complete executions the
 //!   monotone core is a weakening of the full model — it may accept
 //!   more, never reject a consistent execution.
@@ -232,15 +233,26 @@ fn synthesis_matches_filtered_enumeration_at_four_events() {
     assert_synthesis_matches_reference(4, &[Arch::Sc, Arch::X86]);
 }
 
-/// Outcome tables: a pruned Session and a `set_prune(false)` Session
-/// must serve identical per-model answers over the generated corpus —
-/// same allowed sets, same postcondition verdicts, same closed-form
-/// candidate counts. (Visited-class counts legitimately differ: the
-/// pruned walk never materialises classes its oracle refutes.)
+/// Outcome tables: the Session's per-mask walk must serve exactly the
+/// answers of an in-test enumerate-then-filter reference
+/// ([`txmm::litmus::candidates`], the full model check per candidate)
+/// over the generated corpus — same allowed sets, same postcondition
+/// verdicts — for every native model and for `noor`, a `.cat` model
+/// with no prune oracle (so the walk runs under `NoPrune`), on 1 and 4
+/// workers. (Visited-class counts legitimately differ per model: the
+/// walk never materialises classes its oracle refutes.)
 #[test]
 fn outcome_tables_agree_with_unpruned_session() {
-    use txmm::litmus::parse_litmus;
+    use txmm::hwsim::{Outcome, OutcomeSet, MAX_LOCS};
+    use txmm::litmus::{candidate_count, candidates, parse_litmus};
     use txmm::session::Session;
+
+    /// The simulators' fixed-width location layout.
+    fn pad<T: Clone + Default>(v: &[T]) -> Vec<T> {
+        let mut v = v.to_vec();
+        v.resize(MAX_LOCS, T::default());
+        v
+    }
 
     let corpus = txmm::corpus::generate(3);
     assert!(
@@ -248,36 +260,57 @@ fn outcome_tables_agree_with_unpruned_session() {
         "the corpus must include transactional programs"
     );
 
-    let mut pruned = Session::new();
-    let mut unpruned = Session::new();
-    unpruned.set_prune(false);
-
-    for (name, src) in &corpus {
-        let file = format!("{name}.litmus");
-        let t = parse_litmus(src).expect("corpus sources parse");
-        let a = pruned.outcomes(&file, &t, None);
-        let b = unpruned.outcomes(&file, &t, None);
-        match (a, b) {
-            (Ok(a), Ok(b)) => {
-                assert_eq!(a.candidates, b.candidates, "{name}: candidate counts");
-                assert_eq!(a.per_model, b.per_model, "{name}: per-model answers");
+    for workers in [1, 4] {
+        let mut s = Session::new();
+        s.set_outcome_workers(workers);
+        let noor = s
+            .register_cat_source("noor", "acyclic po | (co \\ rf) as X")
+            .unwrap();
+        assert!(
+            s.model(noor).prune_oracle(true).is_none(),
+            "noor must exercise the oracle-less walk"
+        );
+        for (name, src) in &corpus {
+            let file = format!("{name}.litmus");
+            let t = parse_litmus(src).expect("corpus sources parse");
+            let r = s
+                .outcomes(&file, &t, None)
+                .unwrap_or_else(|e| panic!("{name}: refused: {e}"));
+            assert_eq!(
+                r.candidates as u128,
+                candidate_count(&t).unwrap(),
+                "{name}: candidate count"
+            );
+            let all = candidates(&t).unwrap();
+            for (m, got) in s.models().zip(&r.per_model) {
+                let model = s.model(m);
+                let allowed: OutcomeSet = all
+                    .iter()
+                    .filter(|c| model.check(&c.exec).is_consistent())
+                    .map(|c| Outcome {
+                        regs: c.regs.clone(),
+                        memory: pad(&c.memory),
+                        txn_ok: c.txn_ok.clone(),
+                        co_order: pad(&c.co_order),
+                    })
+                    .collect();
+                let post_allowed =
+                    (!t.post.is_empty()).then(|| allowed.iter().any(|o| o.passes(&t)));
+                assert_eq!(got.model, model.name());
+                assert_eq!(
+                    got.allowed, allowed,
+                    "{name} on {} workers: {} allowed set",
+                    workers, got.model
+                );
+                assert_eq!(got.post_allowed, post_allowed, "{name}: {}", got.model);
             }
-            (Err(a), Err(b)) => {
-                assert_eq!(a, b, "{name}: refusals must match");
-            }
-            _ => panic!("{name}: one path served, the other refused"),
         }
+        let st = s.stats();
+        assert!(
+            st.prune_oracle_calls + st.prune_delta_answers > 0,
+            "pruning never engaged: {st:?}"
+        );
     }
-    let st = pruned.stats();
-    assert!(
-        st.prune_oracle_calls + st.prune_delta_answers > 0,
-        "pruning never engaged: {st:?}"
-    );
-    assert_eq!(
-        unpruned.stats().prune_oracle_calls,
-        0,
-        "set_prune(false) must bypass the oracles"
-    );
 }
 
 /// Incremental viability == recompute-from-scratch. With delta
